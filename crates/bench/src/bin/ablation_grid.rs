@@ -29,7 +29,7 @@ use s3_core::{strategy_registry, S3Config, SocialModel};
 use s3_trace::generator::{apply_scenario, CampusConfig, CampusGenerator, ScenarioSpec};
 use s3_trace::{SessionDemand, TraceStore};
 use s3_types::{TimeDelta, Timestamp, SECS_PER_DAY};
-use s3_wlan::metrics::mean_active_balance_filtered;
+use s3_wlan::metrics::StreamingBalance;
 use s3_wlan::selector::LeastLoadedFirst;
 use s3_wlan::{BuildContext, RebalanceConfig, SimConfig, SimEngine, Topology};
 
@@ -164,23 +164,15 @@ impl World {
 }
 
 /// p95 of the per-(AP, bin) load distribution over the log, in Mbps.
-fn p95_ap_load_mbps(log: &TraceStore, bin: TimeDelta) -> f64 {
-    let Some((first_day, last_day)) = log.day_range() else {
-        return 0.0;
-    };
-    let start = Timestamp::from_secs(first_day * SECS_PER_DAY);
-    let end = Timestamp::from_secs((last_day + 1) * SECS_PER_DAY);
+fn p95_ap_load_mbps(grid: &StreamingBalance, bin: TimeDelta) -> f64 {
     let mut samples: Vec<f64> = Vec::new();
-    for controller in log.controllers() {
-        let mut t = start;
-        while t < end {
-            for (_, volume) in log.ap_volumes_in(controller, t, t + bin) {
-                let mbps = volume.as_f64() * 8.0 / bin.as_secs() as f64 / 1.0e6;
-                samples.push(mbps);
-            }
-            t += bin;
-        }
-    }
+    grid.for_each_bin(|_, _, volumes| {
+        samples.extend(
+            volumes
+                .iter()
+                .map(|v| v.as_f64() * 8.0 / bin.as_secs() as f64 / 1.0e6),
+        );
+    });
     if samples.is_empty() {
         return 0.0;
     }
@@ -241,9 +233,9 @@ fn main() {
                 .expect("every registered strategy builds");
             let result = world.engine.run(&eval, selector.as_mut());
             let migrations = result.migrations;
-            let log = TraceStore::new(result.records);
-            let balance = mean_active_balance_filtered(&log, bin, daytime).unwrap_or(0.0);
-            let tail = p95_ap_load_mbps(&log, bin);
+            let grid = StreamingBalance::of_store(&TraceStore::new(result.records), bin);
+            let tail = p95_ap_load_mbps(&grid, bin);
+            let balance = grid.finish(daytime).unwrap_or(0.0);
             println!(
                 "  {scenario_name:<15} {:<12} balance {balance:.4}  migrations {migrations:>5}  p95 {tail:.2} Mbps",
                 entry.name()

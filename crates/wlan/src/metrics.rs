@@ -5,7 +5,7 @@
 //! sampled per time bin. These helpers turn a [`TraceStore`] into those
 //! series.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::BTreeMap;
 
 use s3_obs::{Desc, Stability, Unit};
 use s3_stats::balance::{normalized_balance_index, user_count_balance_index};
@@ -13,9 +13,8 @@ use s3_trace::{SessionRecord, TraceStore};
 use s3_types::{ApId, Bytes, ControllerId, TimeDelta, Timestamp};
 
 // Balance-sampling metrics (documented in docs/METRICS.md). Recorded in
-// exactly one place — [`balance_samples`] — so the aggregate helpers below
-// (`mean_active_balance*`), which call it internally, never double-count a
-// bin.
+// exactly one place — [`StreamingBalance::samples`] — so the aggregate
+// helpers below, which all read the samples once, never double-count a bin.
 static BALANCE_SAMPLES: Desc = Desc {
     name: "wlan.metrics.balance_samples",
     help: "(controller, bin) balance-index samples computed",
@@ -50,44 +49,14 @@ pub struct BalanceSample {
 }
 
 /// Computes the normalized traffic balance index for every `(controller,
-/// bin)` pair across the store's whole day range.
+/// bin)` pair across the store's whole day range, streaming the store's
+/// records once through a [`StreamingBalance`].
 ///
 /// # Panics
 ///
 /// Panics if `bin` is zero.
 pub fn balance_samples(store: &TraceStore, bin: TimeDelta) -> Vec<BalanceSample> {
-    assert!(!bin.is_zero(), "bin width must be positive");
-    let Some((first_day, last_day)) = store.day_range() else {
-        return Vec::new();
-    };
-    let start = Timestamp::from_secs(first_day * s3_types::SECS_PER_DAY);
-    let end = Timestamp::from_secs((last_day + 1) * s3_types::SECS_PER_DAY);
-    let mut out = Vec::new();
-    for controller in store.controllers() {
-        let mut t = start;
-        while t < end {
-            let to = t + bin;
-            let volumes = store.ap_volumes_in(controller, t, to);
-            if volumes.len() >= 2 {
-                let loads: Vec<f64> = volumes.iter().map(|&(_, v)| v.as_f64()).collect();
-                let total: f64 = loads.iter().sum();
-                let value = normalized_balance_index(&loads).expect("loads are finite");
-                out.push(BalanceSample {
-                    controller,
-                    start: t,
-                    value,
-                    active: total > 0.0,
-                });
-            }
-            t = to;
-        }
-    }
-    let registry = s3_obs::global();
-    registry.counter(&BALANCE_SAMPLES).add(out.len() as u64);
-    let active = out.iter().filter(|s| s.active).count() as u64;
-    registry.counter(&ACTIVE_BINS).add(active);
-    registry.counter(&IDLE_BINS).add(out.len() as u64 - active);
-    out
+    StreamingBalance::of_store(store, bin).samples()
 }
 
 /// Traffic balance-index time series for a single controller.
@@ -147,17 +116,7 @@ pub fn user_balance_series(
 /// — the headline scalar compared between S³ and LLF. Returns `None` when
 /// no bin was active.
 pub fn mean_active_balance(store: &TraceStore, bin: TimeDelta) -> Option<f64> {
-    let samples = balance_samples(store, bin);
-    let active: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.active)
-        .map(|s| s.value)
-        .collect();
-    if active.is_empty() {
-        None
-    } else {
-        Some(active.iter().sum::<f64>() / active.len() as f64)
-    }
+    mean_active_balance_filtered(store, bin, |_| true)
 }
 
 /// Like [`mean_active_balance`] but restricted to bins whose start hour
@@ -170,50 +129,41 @@ pub fn mean_active_balance_filtered<F>(
 where
     F: Fn(u64) -> bool,
 {
-    let samples = balance_samples(store, bin);
-    let active: Vec<f64> = samples
-        .iter()
-        .filter(|s| s.active && hour_filter(s.start.hour_of_day()))
-        .map(|s| s.value)
-        .collect();
-    if active.is_empty() {
-        None
-    } else {
-        Some(active.iter().sum::<f64>() / active.len() as f64)
-    }
+    StreamingBalance::of_store(store, bin).finish(hour_filter)
 }
 
-/// Incremental equivalent of [`balance_samples`] +
-/// [`mean_active_balance_filtered`] for record streams that never
-/// materialize a [`TraceStore`] — the `s3wlan replay --stream` path.
+/// The balance data plane: served volume per `(controller, AP, bin)`,
+/// filled one record at a time. Every balance number in this module —
+/// store-backed or streamed (`s3wlan replay --stream`, which never
+/// materializes a [`TraceStore`]) — is read off this one table.
 ///
-/// Feed every emitted record through [`StreamingBalance::observe`] (in
-/// nondecreasing connect order — the order the streaming engine emits),
-/// then call [`StreamingBalance::finish`] once. The accumulator reproduces
-/// the store-backed computation *exactly*: per-bin volumes are the same
-/// integer [`SessionRecord::volume_within`] attributions, controllers and
-/// APs iterate in the same ascending-id order, and the sample mean sums in
-/// the same (controller-major, bin-minor) order — so both the published
-/// `wlan.metrics.*` counters and the reported mean are byte-identical to
-/// what [`mean_active_balance_filtered`] over the full log would give.
+/// Each observed record adds its integer [`SessionRecord::volume_within`]
+/// bytes to just the bins it overlaps. Integer sums do not depend on the
+/// order records arrive in, and the read-out walks controllers, bins and
+/// APs in ascending order, so the samples, the `wlan.metrics.*` counters
+/// and every mean are the same bits however the records were fed.
 ///
-/// Memory is `O(controllers × APs × bins-with-traffic)` — it scales with
-/// the campus and the day span, never with the record count.
+/// The bin grid starts at the midnight of the first observed record's day
+/// and runs through the last day any record touches. Records must
+/// therefore never connect before that first record's day (the engine
+/// emits in nondecreasing connect order, and a store is connect-sorted).
+///
+/// Memory is `O(controllers × APs × bins)`: one dense bin row per
+/// `(controller, AP)` pair, independent of the record count.
 #[derive(Debug)]
 pub struct StreamingBalance {
     bin: TimeDelta,
-    /// Start of the first record's day — the bin grid origin (the
-    /// store-backed path aligns bins to the first day's midnight).
+    /// Grid origin in seconds: the first record's midnight.
     origin: Option<u64>,
     last_day: u64,
-    /// APs observed per controller over the whole stream.
-    aps: BTreeMap<ControllerId, BTreeSet<ApId>>,
-    /// Served volume per `(controller, ap, bin index)`.
-    volumes: HashMap<(ControllerId, ApId, u64), Bytes>,
+    /// Served volume per bin, one row per `(controller, AP)` ever observed
+    /// (so idle APs still count in their domain).
+    rows: BTreeMap<(ControllerId, ApId), Vec<Bytes>>,
 }
 
 impl StreamingBalance {
-    /// Creates an accumulator over `bin`-wide windows.
+    /// Creates an accumulator over `bin`-wide windows aligned to the first
+    /// record's midnight.
     ///
     /// # Panics
     ///
@@ -224,17 +174,28 @@ impl StreamingBalance {
             bin,
             origin: None,
             last_day: 0,
-            aps: BTreeMap::new(),
-            volumes: HashMap::new(),
+            rows: BTreeMap::new(),
         }
+    }
+
+    /// An accumulator over every record of `store`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bin` is zero.
+    pub fn of_store(store: &TraceStore, bin: TimeDelta) -> Self {
+        let mut grid = StreamingBalance::new(bin);
+        for r in store.records() {
+            grid.observe(r);
+        }
+        grid
     }
 
     /// Folds one record into the per-bin volume table.
     ///
     /// # Panics
     ///
-    /// Panics if `record` connects before a previously observed record's
-    /// day — records must arrive in nondecreasing connect order.
+    /// Panics if `record` connects before the first observed record's day.
     pub fn observe(&mut self, record: &SessionRecord) {
         let origin = *self
             .origin
@@ -244,80 +205,102 @@ impl StreamingBalance {
             "records must be observed in nondecreasing connect order"
         );
         self.last_day = self.last_day.max(record.disconnect.day());
-        self.aps
-            .entry(record.controller)
-            .or_default()
-            .insert(record.ap);
+        let row = self.rows.entry((record.controller, record.ap)).or_default();
         if record.duration().is_zero() {
             return; // attributes zero volume to every bin
         }
         let width = self.bin.as_secs();
         let first = (record.connect.as_secs() - origin) / width;
         let last = (record.disconnect.as_secs() - 1 - origin) / width;
+        if row.len() <= last as usize {
+            row.resize(last as usize + 1, Bytes::ZERO);
+        }
         for b in first..=last {
             let from = Timestamp::from_secs(origin + b * width);
-            let to = Timestamp::from_secs(origin + (b + 1) * width);
-            let v = record.volume_within(from, to);
-            if !v.is_zero() {
-                *self
-                    .volumes
-                    .entry((record.controller, record.ap, b))
-                    .or_insert(Bytes::ZERO) += v;
+            row[b as usize] += record.volume_within(from, from + self.bin);
+        }
+    }
+
+    /// Calls `f(controller, bin start, volumes)` for every bin of every
+    /// controller domain — controllers ascending, then bins ascending —
+    /// with the domain's per-AP volumes in ascending AP order (idle APs
+    /// report zero).
+    pub fn for_each_bin<F>(&self, mut f: F)
+    where
+        F: FnMut(ControllerId, Timestamp, &[Bytes]),
+    {
+        let Some(origin) = self.origin else {
+            return;
+        };
+        let width = self.bin.as_secs();
+        let bins = ((self.last_day + 1) * s3_types::SECS_PER_DAY - origin).div_ceil(width);
+        let rows: Vec<(&(ControllerId, ApId), &Vec<Bytes>)> = self.rows.iter().collect();
+        let mut volumes = Vec::new();
+        for domain in rows.chunk_by(|a, b| a.0 .0 == b.0 .0) {
+            let controller = domain[0].0 .0;
+            for b in 0..bins {
+                volumes.clear();
+                volumes.extend(
+                    domain
+                        .iter()
+                        .map(|(_, row)| row.get(b as usize).copied().unwrap_or(Bytes::ZERO)),
+                );
+                f(
+                    controller,
+                    Timestamp::from_secs(origin + b * width),
+                    &volumes,
+                );
             }
         }
     }
 
-    /// Publishes the `wlan.metrics.*` sample counters and returns the mean
-    /// active balance index over bins whose start hour passes
-    /// `hour_filter` — exactly [`mean_active_balance_filtered`]. When no
-    /// record was observed nothing is published (the store-backed path
-    /// returns before publishing on an empty log); when records exist but
-    /// no active bin passes the filter, counters publish and the mean is
-    /// `None`.
+    /// The normalized traffic balance index of every `(controller, bin)`
+    /// whose domain has at least two APs, controller-major and bin-minor,
+    /// publishing the `wlan.metrics.*` sample counters. Counters are the
+    /// one side effect, recorded here only, so callers never double-count a
+    /// bin; nothing publishes before the first record.
+    pub fn samples(&self) -> Vec<BalanceSample> {
+        let mut out = Vec::new();
+        let mut loads = Vec::new();
+        self.for_each_bin(|controller, start, volumes| {
+            if volumes.len() < 2 {
+                return;
+            }
+            loads.clear();
+            loads.extend(volumes.iter().map(|v| v.as_f64()));
+            let total: f64 = loads.iter().sum();
+            let value = normalized_balance_index(&loads).expect("loads are finite");
+            out.push(BalanceSample {
+                controller,
+                start,
+                value,
+                active: total > 0.0,
+            });
+        });
+        if self.origin.is_some() {
+            let registry = s3_obs::global();
+            registry.counter(&BALANCE_SAMPLES).add(out.len() as u64);
+            let active = out.iter().filter(|s| s.active).count() as u64;
+            registry.counter(&ACTIVE_BINS).add(active);
+            registry.counter(&IDLE_BINS).add(out.len() as u64 - active);
+        }
+        out
+    }
+
+    /// Publishes the sample counters (see [`StreamingBalance::samples`])
+    /// and returns the mean index over active bins whose start hour passes
+    /// `hour_filter`, or `None` when no such bin exists.
     pub fn finish<F>(self, hour_filter: F) -> Option<f64>
     where
         F: Fn(u64) -> bool,
     {
-        let origin = self.origin?;
-        let width = self.bin.as_secs();
-        let end = (self.last_day + 1) * s3_types::SECS_PER_DAY;
-        let mut samples = 0u64;
-        let mut active_bins = 0u64;
-        let (mut sum, mut n) = (0.0f64, 0u64);
-        for (controller, aps) in &self.aps {
-            if aps.len() < 2 {
-                continue;
-            }
-            let mut t = origin;
-            let mut b = 0u64;
-            while t < end {
-                let loads: Vec<f64> = aps
-                    .iter()
-                    .map(|&ap| {
-                        self.volumes
-                            .get(&(*controller, ap, b))
-                            .map_or(0.0, |v| v.as_f64())
-                    })
-                    .collect();
-                let total: f64 = loads.iter().sum();
-                let value = normalized_balance_index(&loads).expect("loads are finite");
-                samples += 1;
-                if total > 0.0 {
-                    active_bins += 1;
-                    if hour_filter(Timestamp::from_secs(t).hour_of_day()) {
-                        sum += value;
-                        n += 1;
-                    }
-                }
-                t += width;
-                b += 1;
-            }
-        }
-        let registry = s3_obs::global();
-        registry.counter(&BALANCE_SAMPLES).add(samples);
-        registry.counter(&ACTIVE_BINS).add(active_bins);
-        registry.counter(&IDLE_BINS).add(samples - active_bins);
-        (n > 0).then(|| sum / n as f64)
+        let active: Vec<f64> = self
+            .samples()
+            .iter()
+            .filter(|s| s.active && hour_filter(s.start.hour_of_day()))
+            .map(|s| s.value)
+            .collect();
+        (!active.is_empty()).then(|| active.iter().sum::<f64>() / active.len() as f64)
     }
 }
 
@@ -373,6 +356,7 @@ mod tests {
 
     #[test]
     fn samples_flag_idle_bins() {
+        let _counters = counters_lock();
         let store = TraceStore::new(vec![rec(1, 0, 0, 0, 600, 10), rec(2, 1, 0, 0, 600, 10)]);
         let samples = balance_samples(&store, TimeDelta::hours(6));
         assert_eq!(samples.len(), 4, "four 6h bins in day 0");
@@ -383,6 +367,7 @@ mod tests {
 
     #[test]
     fn single_ap_domains_are_skipped() {
+        let _counters = counters_lock();
         let store = TraceStore::new(vec![rec(1, 0, 0, 0, 600, 10)]);
         assert!(balance_samples(&store, TimeDelta::hours(1)).is_empty());
         assert_eq!(mean_active_balance(&store, TimeDelta::hours(1)), None);
@@ -407,6 +392,7 @@ mod tests {
 
     #[test]
     fn filtered_mean_restricts_hours() {
+        let _counters = counters_lock();
         // Balanced traffic at 10:00, unbalanced at 03:00.
         let store = TraceStore::new(vec![
             rec(1, 0, 0, 10 * 3_600, 10 * 3_600 + 600, 10),
@@ -428,6 +414,13 @@ mod tests {
         assert!(balance_samples(&store, TimeDelta::hours(1)).is_empty());
     }
 
+    /// Serializes the tests that publish the process-global sample
+    /// counters, so delta assertions never see another test's samples.
+    fn counters_lock() -> std::sync::MutexGuard<'static, ()> {
+        static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+        LOCK.lock().unwrap_or_else(|poisoned| poisoned.into_inner())
+    }
+
     /// Reads the three sample counters (for delta assertions).
     fn sample_counters() -> (u64, u64, u64) {
         let registry = s3_obs::global();
@@ -438,8 +431,35 @@ mod tests {
         )
     }
 
+    /// Per-window `(controller, bin start, index bits, active)` samples
+    /// computed the naive way: one [`TraceStore::ap_volumes_in`] scan per
+    /// `(controller, bin)` over the store's whole day range.
+    fn oracle_samples(store: &TraceStore, bin: TimeDelta) -> Vec<(ControllerId, u64, u64, bool)> {
+        let Some((first_day, last_day)) = store.day_range() else {
+            return Vec::new();
+        };
+        let start = Timestamp::from_secs(first_day * s3_types::SECS_PER_DAY);
+        let end = Timestamp::from_secs((last_day + 1) * s3_types::SECS_PER_DAY);
+        let mut out = Vec::new();
+        for controller in store.controllers() {
+            let mut t = start;
+            while t < end {
+                let volumes = store.ap_volumes_in(controller, t, t + bin);
+                if volumes.len() >= 2 {
+                    let loads: Vec<f64> = volumes.iter().map(|&(_, v)| v.as_f64()).collect();
+                    let value = normalized_balance_index(&loads).expect("finite loads");
+                    let active = loads.iter().sum::<f64>() > 0.0;
+                    out.push((controller, t.as_secs(), value.to_bits(), active));
+                }
+                t += bin;
+            }
+        }
+        out
+    }
+
     #[test]
     fn streaming_balance_matches_the_store_backed_path_exactly() {
+        let _counters = counters_lock();
         use crate::selector::LeastLoadedFirst;
         use crate::{SimConfig, SimEngine, Topology};
         use s3_trace::generator::{CampusConfig, CampusGenerator};
@@ -458,8 +478,17 @@ mod tests {
         let bin = TimeDelta::minutes(10);
         let daytime = |h: u64| h >= 8;
 
-        let before = sample_counters();
+        // Every sample equals the independent per-window scan, bit for bit.
         let store = TraceStore::new(records.clone());
+        let samples: Vec<(ControllerId, u64, u64, bool)> = StreamingBalance::of_store(&store, bin)
+            .samples()
+            .iter()
+            .map(|s| (s.controller, s.start.as_secs(), s.value.to_bits(), s.active))
+            .collect();
+        assert_eq!(samples, oracle_samples(&store, bin));
+        assert!(samples.iter().any(|s| s.3), "the log must have active bins");
+
+        let before = sample_counters();
         let store_mean = mean_active_balance_filtered(&store, bin, daytime);
         let mid = sample_counters();
 
@@ -481,6 +510,7 @@ mod tests {
 
     #[test]
     fn streaming_balance_handles_edge_records_like_the_store() {
+        let _counters = counters_lock();
         // Zero-duration sessions, sessions spanning many bins, idle gaps
         // and a single-AP controller (skipped by both paths).
         let records = vec![
@@ -491,12 +521,18 @@ mod tests {
             rec(5, 0, 0, 86_000, 86_500, 2), // crosses midnight into day 1
         ];
         let bin = TimeDelta::minutes(10);
-        let store_mean =
-            mean_active_balance_filtered(&TraceStore::new(records.clone()), bin, |_| true);
+        let store = TraceStore::new(records.clone());
+        let store_mean = mean_active_balance_filtered(&store, bin, |_| true);
         let mut streaming = StreamingBalance::new(bin);
         for r in &records {
             streaming.observe(r);
         }
+        let samples: Vec<(ControllerId, u64, u64, bool)> = streaming
+            .samples()
+            .iter()
+            .map(|s| (s.controller, s.start.as_secs(), s.value.to_bits(), s.active))
+            .collect();
+        assert_eq!(samples, oracle_samples(&store, bin));
         assert_eq!(streaming.finish(|_| true), store_mean);
     }
 
