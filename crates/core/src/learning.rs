@@ -310,16 +310,23 @@ impl SocialModel {
         if k == 0 {
             return matrix;
         }
-        let mut sums = vec![0.0; k * k];
+        // The cell sums are exact: each probability (in [0, 1]) becomes a
+        // 2⁶⁴-scaled integer, truncated, and integer addition does not
+        // depend on order. A HashMap's iteration order changes from process
+        // to process, so plain f64 sums would not repeat bit for bit. The
+        // truncation loses less than 2⁻⁶⁴ per pair.
+        const ONE: f64 = 18_446_744_073_709_551_616.0; // 2⁶⁴
+        let mut sums = vec![0u128; k * k];
         let mut counts = vec![0u32; k * k];
         for (pair, &p) in pair_probability {
             let (Some(&ti), Some(&tj)) = (user_type.get(&pair.0), user_type.get(&pair.1)) else {
                 continue;
             };
-            sums[ti * k + tj] += p;
+            let fixed = (p * ONE) as u128;
+            sums[ti * k + tj] += fixed;
             counts[ti * k + tj] += 1;
             if ti != tj {
-                sums[tj * k + ti] += p;
+                sums[tj * k + ti] += fixed;
                 counts[tj * k + ti] += 1;
             }
         }
@@ -327,7 +334,7 @@ impl SocialModel {
             for j in i..k {
                 let idx = i * k + j;
                 if counts[idx] > 0 {
-                    matrix.set(i, j, sums[idx] / counts[idx] as f64);
+                    matrix.set(i, j, sums[idx] as f64 / ONE / counts[idx] as f64);
                 }
             }
         }
@@ -632,6 +639,30 @@ mod tests {
         assert_eq!(t1, t2, "morning pair together");
         assert_eq!(t3, t4, "night pair together");
         assert_ne!(t1, t3, "temporal features must split the day shifts");
+    }
+
+    #[test]
+    fn type_matrix_is_independent_of_map_order() {
+        // Many pairs per type cell with values of mixed magnitude, so a
+        // different summation order shows in the last bits.
+        let pairs: Vec<(UserPair, f64)> = (0..40u32)
+            .flat_map(|a| ((a + 1)..40).map(move |b| (a, b)))
+            .map(|(a, b)| {
+                let x = f64::from(a * 7_919 + b * 104_729) * 0.618_033_988_749_895;
+                let p = (x - x.floor()) * 10f64.powi(-(((a + b) % 9) as i32));
+                (UserPair::new(UserId::new(a), UserId::new(b)).unwrap(), p)
+            })
+            .collect();
+        let user_type: HashMap<UserId, usize> = (0..40u32)
+            .map(|u| (UserId::new(u), (u % 3) as usize))
+            .collect();
+        let forward: HashMap<UserPair, f64> = pairs.iter().copied().collect();
+        let mut backward: HashMap<UserPair, f64> = HashMap::with_capacity(4 * pairs.len());
+        backward.extend(pairs.iter().rev().copied());
+        let a = SocialModel::type_matrix_from(3, &user_type, &forward);
+        let b = SocialModel::type_matrix_from(3, &user_type, &backward);
+        let bits = |m: &TypeMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&a), bits(&b));
     }
 
     #[test]

@@ -16,6 +16,18 @@
 //!   thread count, so floating-point reductions associate identically at
 //!   `threads = 1` and `threads = 64`.
 //!
+//! # Scheduling
+//!
+//! Both helpers share one scheduler, guided self-scheduling. The items (or
+//! chunks) are cut into blocks that shrink along the index range: each
+//! block takes `1/(2·threads)` of the items after it, at least one. Worker
+//! `w` first runs block `w`, then claims the next unrun block from a shared
+//! atomic cursor until none is left; the calling thread is worker 0. A
+//! worker stuck on expensive items therefore holds few of them, and the
+//! others drain the cheap tail. Which worker ran a block never matters:
+//! results are placed by block index, so the output is the sequential
+//! map's at every thread count.
+//!
 //! At `threads <= 1` both helpers run sequentially on the caller's thread
 //! (no spawn); callers therefore need no separate sequential code path.
 //!
@@ -32,6 +44,8 @@
 pub mod mailbox;
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use s3_obs::{Desc, Stability, Unit};
 
@@ -89,10 +103,10 @@ pub fn resolve_threads(request: Option<usize>) -> usize {
 
 /// Order-preserving parallel map: `out[i] = f(i, &items[i])`.
 ///
-/// Items are dealt to at most `threads` workers in contiguous index ranges;
-/// each worker returns its range's results, which are reassembled by range
-/// position. The output is byte-identical to the sequential map for any
-/// `threads`, provided `f` is a pure function of `(index, item)`.
+/// Workers claim blocks of items as described in the [crate docs](crate),
+/// and the results are placed by index. The output is byte-identical to the
+/// sequential map for any `threads`, provided `f` is a pure function of
+/// `(index, item)`.
 ///
 /// `threads <= 1` (or fewer than two items) runs inline without spawning.
 pub fn par_map<T, R, F>(items: &[T], threads: usize, f: F) -> Vec<R>
@@ -102,40 +116,7 @@ where
     F: Fn(usize, &T) -> R + Sync,
 {
     s3_obs::global().counter(&MAP_CALLS).inc();
-    let threads = threads.clamp(1, MAX_THREADS).min(items.len());
-    if threads <= 1 {
-        return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
-    }
-    let ranges = split_ranges(items.len(), threads);
-    s3_obs::global()
-        .counter(&WORKERS_SPAWNED)
-        .add(ranges.len() as u64);
-    let mut parts: Vec<Vec<R>> = std::thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let f = &f;
-                let chunk = &items[range.clone()];
-                let base = range.start;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(offset, x)| f(base + offset, x))
-                        .collect::<Vec<R>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("par_map worker panicked"))
-            .collect()
-    });
-    let mut out = Vec::with_capacity(items.len());
-    for part in parts.iter_mut() {
-        out.append(part);
-    }
-    out
+    run_guided(items.len(), threads, |i| f(i, &items[i]))
 }
 
 /// Deterministic parallel fold: splits `items` into chunks of exactly
@@ -178,61 +159,78 @@ where
         }
         acc
     };
-    let partials: Vec<A> = if threads <= 1 || items.len() <= chunk_size {
-        items
-            .chunks(chunk_size)
-            .enumerate()
-            .map(|(ci, chunk)| fold_chunk(ci, chunk))
-            .collect()
-    } else {
-        let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
-        // One worker per contiguous run of chunks; each returns its chunks'
-        // accumulators in order.
-        let nested = std::thread::scope(|scope| {
-            let ranges = split_ranges(chunks.len(), threads.clamp(1, MAX_THREADS));
-            s3_obs::global()
-                .counter(&WORKERS_SPAWNED)
-                .add(ranges.len() as u64);
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|range| {
-                    let fold_chunk = &fold_chunk;
-                    let my_chunks = &chunks[range.clone()];
-                    let base = range.start;
-                    scope.spawn(move || {
-                        my_chunks
-                            .iter()
-                            .enumerate()
-                            .map(|(i, chunk)| fold_chunk(base + i, chunk))
-                            .collect::<Vec<A>>()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("par_chunk_fold worker panicked"))
-                .collect::<Vec<Vec<A>>>()
-        });
-        nested.into_iter().flatten().collect()
-    };
+    let chunks: Vec<&[T]> = items.chunks(chunk_size).collect();
+    let partials = run_guided(chunks.len(), threads, |ci| fold_chunk(ci, chunks[ci]));
     let mut iter = partials.into_iter();
     let first = iter.next().expect("non-empty input has a first chunk");
     iter.fold(first, &mut merge)
 }
 
-/// Splits `0..len` into `parts` contiguous, near-equal, non-empty ranges.
-fn split_ranges(len: usize, parts: usize) -> Vec<std::ops::Range<usize>> {
-    let parts = parts.min(len).max(1);
-    let base = len / parts;
-    let extra = len % parts;
-    let mut ranges = Vec::with_capacity(parts);
+/// Runs `job(i)` for every `i` in `0..len` on up to `threads` workers and
+/// returns the results in index order (see the [crate docs](crate) for the
+/// schedule). Runs inline when fewer than two workers would be used.
+fn run_guided<R, F>(len: usize, threads: usize, job: F) -> Vec<R>
+where
+    R: Send,
+    F: Fn(usize) -> R + Sync,
+{
+    let threads = threads.clamp(1, MAX_THREADS).min(len);
+    if threads <= 1 {
+        return (0..len).map(job).collect();
+    }
+    let blocks = guided_blocks(len, threads);
+    let workers = threads.min(blocks.len());
+    // The cursor only hands out block indices, so `Relaxed` suffices: the
+    // results travel back through `join`, which orders them.
+    let cursor = AtomicUsize::new(workers);
+    let work = |first: usize| {
+        let mut done = Vec::new();
+        let mut block = first;
+        while block < blocks.len() {
+            done.push((block, blocks[block].clone().map(&job).collect::<Vec<R>>()));
+            block = cursor.fetch_add(1, Ordering::Relaxed);
+        }
+        done
+    };
+    // The calling thread is worker 0; only the others are spawned.
+    s3_obs::global()
+        .counter(&WORKERS_SPAWNED)
+        .add(workers as u64 - 1);
+    let finished: Vec<Vec<(usize, Vec<R>)>> = std::thread::scope(|scope| {
+        let work = &work;
+        let handles: Vec<_> = (1..workers)
+            .map(|first| scope.spawn(move || work(first)))
+            .collect();
+        let mut finished = vec![work(0)];
+        finished.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().expect("s3-par worker panicked")),
+        );
+        finished
+    });
+    let mut slots: Vec<Option<Vec<R>>> = (0..blocks.len()).map(|_| None).collect();
+    for (block, results) in finished.into_iter().flatten() {
+        slots[block] = Some(results);
+    }
+    slots
+        .into_iter()
+        .flat_map(|results| results.expect("every block ran once"))
+        .collect()
+}
+
+/// Cuts `0..len` into the blocks of guided self-scheduling: each block takes
+/// `1/(2·threads)` of the indices not yet covered, rounded up, so blocks
+/// shrink toward the end. The cut depends only on `len` and `threads`.
+fn guided_blocks(len: usize, threads: usize) -> Vec<Range<usize>> {
+    let mut blocks = Vec::new();
     let mut start = 0;
-    for p in 0..parts {
-        let size = base + usize::from(p < extra);
-        ranges.push(start..start + size);
+    while start < len {
+        let size = (len - start).div_ceil(2 * threads);
+        blocks.push(start..start + size);
         start += size;
     }
-    ranges
+    blocks
 }
 
 #[cfg(test)]
@@ -248,17 +246,23 @@ mod tests {
     }
 
     #[test]
-    fn split_ranges_tile_exactly() {
+    fn guided_blocks_tile_exactly() {
         for len in [0usize, 1, 2, 7, 64, 1000] {
-            for parts in [1usize, 2, 3, 8, 33] {
-                let ranges = split_ranges(len, parts);
+            for threads in [1usize, 2, 3, 8, 33] {
+                let blocks = guided_blocks(len, threads);
                 let mut expected_start = 0;
-                for r in &ranges {
-                    assert_eq!(r.start, expected_start);
-                    assert!(!r.is_empty() || len == 0);
-                    expected_start = r.end;
+                for (i, b) in blocks.iter().enumerate() {
+                    assert_eq!(b.start, expected_start);
+                    assert!(!b.is_empty());
+                    // Blocks never grow along the range.
+                    if i > 0 {
+                        assert!(b.len() <= blocks[i - 1].len());
+                    }
+                    expected_start = b.end;
                 }
                 assert_eq!(expected_start, len);
+                // Every worker gets a first block of its own.
+                assert!(blocks.len() >= threads.min(len));
             }
         }
     }

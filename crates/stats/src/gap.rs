@@ -189,8 +189,9 @@ fn log_dispersion(
     config: &KMeansConfig,
     seed: u64,
 ) -> Result<f64, StatsError> {
-    let fit = kmeans::fit(points, k, config, seed)?;
-    let w = kmeans::within_dispersion(points, &fit);
+    // The fit's inertia is `W_k` itself: the same squared distances summed
+    // in the same point order as `kmeans::within_dispersion`.
+    let w = kmeans::fit(points, k, config, seed)?.inertia;
     // Guard against log(0) for degenerate perfectly-tight clusterings.
     Ok(w.max(1e-300).ln())
 }
