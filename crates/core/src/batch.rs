@@ -11,80 +11,133 @@
 //! fall back to a beam search otherwise — preserving the
 //! top-fraction-then-balance selection either way (documented deviation in
 //! DESIGN.md).
+//!
+//! The rule is evaluated in two passes instead of a sort. Pass 1 computes
+//! every candidate's social cost and capacity test; the cost at rank
+//! `⌈N·top_fraction⌉` among the `N` feasible ones is found by selection,
+//! and the kept set is every feasible candidate within `1e-12` of it — the
+//! set a stable sort cut at that rank and extended over near-ties keeps.
+//! Pass 2 computes the balance index of the kept candidates only; the
+//! highest balance wins, ties going to the larger cost, then to the later
+//! candidate, which is the element the sorted list's `max_by` returned.
+
+use std::sync::OnceLock;
 
 use s3_graph::SocialGraph;
-use s3_obs::{Desc, HistogramDesc, Stability, Unit};
+use s3_obs::{Counter, Desc, Histogram, HistogramDesc, Stability, Unit};
 use s3_stats::balance::normalized_balance_index;
 use s3_types::UserId;
 
 use crate::compiled::CompiledModel;
 use crate::S3Config;
 
+/// A counter registered on first use and cached thereafter: the hot path
+/// skips the registry's mutex and name lookup, and nothing is registered
+/// earlier than a per-call lookup would have registered it (snapshots list
+/// registered metrics only).
+pub(crate) struct LazyCounter {
+    desc: Desc,
+    handle: OnceLock<Counter>,
+}
+
+impl LazyCounter {
+    pub(crate) const fn new(desc: Desc) -> LazyCounter {
+        LazyCounter {
+            desc,
+            handle: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn get(&'static self) -> &'static Counter {
+        self.handle
+            .get_or_init(|| s3_obs::global().counter(&self.desc))
+    }
+}
+
+/// [`LazyCounter`] for a histogram.
+pub(crate) struct LazyHistogram {
+    desc: HistogramDesc,
+    handle: OnceLock<Histogram>,
+}
+
+impl LazyHistogram {
+    pub(crate) const fn new(desc: HistogramDesc) -> LazyHistogram {
+        LazyHistogram {
+            desc,
+            handle: OnceLock::new(),
+        }
+    }
+
+    pub(crate) fn get(&'static self) -> &'static Histogram {
+        self.handle
+            .get_or_init(|| s3_obs::global().histogram(&self.desc))
+    }
+}
+
 // Batch-selector metrics (documented in docs/METRICS.md). Hot-loop tallies
-// are accumulated locally and added once per enumeration block / beam
-// level, so the counter traffic is negligible and the totals are identical
-// for every thread count (every block scans the same code range).
-static CLIQUES_ASSIGNED: Desc = Desc {
+// are accumulated locally and added once per enumeration or beam level, so
+// the counter traffic is negligible.
+static CLIQUES_ASSIGNED: LazyCounter = LazyCounter::new(Desc {
     name: "core.batch.cliques_assigned",
     help: "Cliques placed by the batch distribution search",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static CLIQUE_SIZE: HistogramDesc = HistogramDesc {
+});
+static CLIQUE_SIZE: LazyHistogram = LazyHistogram::new(HistogramDesc {
     name: "core.batch.clique_size",
     help: "Members per assigned clique",
     unit: Unit::Count,
     stability: Stability::Stable,
     bounds: &[1, 2, 3, 4, 6, 8, 12, 16],
-};
-static CANDIDATES_ENUMERATED: Desc = Desc {
+});
+static CANDIDATES_ENUMERATED: LazyCounter = LazyCounter::new(Desc {
     name: "core.batch.candidates_enumerated",
     help: "Candidate distributions decoded and scored (exhaustive and beam leaves)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static CAPACITY_REJECTIONS: Desc = Desc {
+});
+static CAPACITY_REJECTIONS: LazyCounter = LazyCounter::new(Desc {
     name: "core.batch.capacity_rejections",
     help: "Candidate distributions discarded for violating AP capacity",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static BEAM_EXPANSIONS: Desc = Desc {
+});
+static BEAM_EXPANSIONS: LazyCounter = LazyCounter::new(Desc {
     name: "core.batch.beam_expansions",
     help: "Partial assignments expanded by the beam search",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static BEAM_PRUNES: Desc = Desc {
+});
+static BEAM_PRUNES: LazyCounter = LazyCounter::new(Desc {
     name: "core.batch.beam_prunes",
     help: "Partial assignments cut when truncating each beam level to beam_width",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static FALLBACKS: Desc = Desc {
+});
+static FALLBACKS: LazyCounter = LazyCounter::new(Desc {
     name: "core.batch.fallbacks",
     help: "Cliques placed by least-loaded fallback (every distribution violated capacity)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static COST_TABLE_BUILDS: Desc = Desc {
+});
+static COST_TABLE_BUILDS: LazyCounter = LazyCounter::new(Desc {
     name: "core.cost.table_builds",
     help: "CliqueCost tables built (one per clique placement)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static COST_DELTA_EVALS: Desc = Desc {
+});
+static COST_DELTA_EVALS: LazyCounter = LazyCounter::new(Desc {
     name: "core.cost.delta_evals",
     help: "Fresh delta(u, w) evaluations while building CliqueCost tables (cache misses)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
-static COST_LOOKUPS: Desc = Desc {
+});
+static COST_LOOKUPS: LazyCounter = LazyCounter::new(Desc {
     name: "core.cost.lookups",
     help: "Table-cell reads served from CliqueCost during candidate scoring (cache hits)",
     unit: Unit::Count,
     stability: Stability::Stable,
-};
+});
 
 /// A projected AP state during batch assignment.
 #[derive(Debug, Clone, PartialEq)]
@@ -101,8 +154,7 @@ pub struct ApSlot {
 /// The identity-free projection of an [`ApSlot`] the scoring search needs:
 /// load, capacity, and member count. The compiled selector keeps these in a
 /// reusable scratch instead of cloning member lists per request; member
-/// *identities* live in the cost tables (hashed path) or the dense member
-/// buffers (compiled path), never in the search state.
+/// *identities* live in the cost tables, never in the search state.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct SlotState {
     /// Current load, bits/s.
@@ -121,14 +173,6 @@ impl SlotState {
             member_count: slot.members.len(),
         }
     }
-}
-
-/// One scored candidate distribution.
-#[derive(Debug, Clone)]
-struct Candidate {
-    assignment: Vec<usize>,
-    cost: f64,
-    balance: f64,
 }
 
 /// Builds the Section-IV social graph over `users`: vertices are indices
@@ -174,19 +218,15 @@ pub(crate) fn build_social_graph_compiled(
 /// every distribution and stack the whole batch on one AP.
 const MEMBER_EPSILON_BPS: f64 = 1.0;
 
-/// Precomputed per-clique cost tables: the slot-entry cost `C(APᵢ)` of each
-/// member against each slot's existing population, the pairwise δ within
-/// the clique, and the per-member demand estimates.
+/// Per-clique cost tables: the slot-entry cost `C(APᵢ)` of each member
+/// against each slot's existing population, the pairwise δ within the
+/// clique, and the per-member demand estimates.
 ///
-/// The search evaluates up to `enumeration_limit` candidates, each of which
-/// previously re-derived every `δ(u, w)` from scratch; building the tables
-/// once turns scoring into pure table lookups (`O(c·(m̄ + c))` δ calls total
-/// instead of per candidate) and makes candidate scoring a pure function —
-/// the prerequisite for fanning the search across threads.
-///
-/// Both tables are flat row-major arrays (no per-row `Vec`), so scoring a
-/// candidate walks contiguous memory: `slot_entry[u·m + s]` and
-/// `pair[i·c + j]`.
+/// Building the tables once per clique turns candidate scoring into pure
+/// table lookups (`O(c·(m̄ + c))` δ calls total instead of per candidate).
+/// Both tables are flat row-major arrays refilled in place for every
+/// clique: `slot_entry[u·m + s]` and `pair[i·c + j]`.
+#[derive(Debug, Clone, Default)]
 struct CliqueCost {
     /// `slot_entry[u·m + s]` = Σ δ(clique[u], w) over slot `s`'s members.
     slot_entry: Vec<f64>,
@@ -196,111 +236,87 @@ struct CliqueCost {
     demands: Vec<f64>,
     /// Slot count `m` — the row stride of `slot_entry`.
     slots: usize,
+    /// Dense-id scatter row of [`CompiledModel::fill_cost_tables`].
+    row: Vec<f64>,
 }
 
 impl CliqueCost {
-    fn new(
+    fn fill_hashed(
+        &mut self,
         clique: &[UserId],
         slots: &[ApSlot],
         delta: &dyn Fn(UserId, UserId) -> f64,
         demand: &dyn Fn(UserId) -> f64,
-    ) -> CliqueCost {
+    ) {
         let c = clique.len();
-        let m = slots.len();
-        let mut slot_entry = Vec::with_capacity(c * m);
+        self.slot_entry.clear();
         for &user in clique {
             for slot in slots {
-                slot_entry.push(slot.members.iter().map(|&w| delta(user, w)).sum());
+                self.slot_entry
+                    .push(slot.members.iter().map(|&w| delta(user, w)).sum());
             }
         }
-        let mut pair = vec![0.0; c * c];
+        self.pair.clear();
+        self.pair.resize(c * c, 0.0);
         for i in 0..c {
             for j in i + 1..c {
                 let d = delta(clique[i], clique[j]);
-                pair[i * c + j] = d;
-                pair[j * c + i] = d;
+                self.pair[i * c + j] = d;
+                self.pair[j * c + i] = d;
             }
         }
-        let demands = clique.iter().map(|&user| demand(user)).collect();
+        self.demands.clear();
+        self.demands.extend(clique.iter().map(|&user| demand(user)));
+        self.slots = slots.len();
         let member_total: usize = slots.iter().map(|s| s.members.len()).sum();
         Self::record_build(c, member_total);
-        CliqueCost {
-            slot_entry,
-            pair,
-            demands,
-            slots: m,
-        }
     }
 
-    /// [`CliqueCost::new`] against the compiled data plane: the clique and
-    /// the per-slot member lists are dense ids, every table cell comes from
-    /// a CSR scan ([`CompiledModel::slot_cost`]) or probe instead of hash
-    /// lookups, and the pair table is bulk-filled with u's CSR row and type
-    /// hoisted per row ([`CompiledModel::fill_pair_table`]).
-    /// Metric accounting is identical — `core.cost.delta_evals` counts one
-    /// eval per (member, slot-resident) pair exactly as the hashed path
-    /// does, so the counter keeps measuring work saved by the table.
-    fn from_compiled(model: &CompiledModel, clique: &[u32], members: &[Vec<u32>]) -> CliqueCost {
-        let c = clique.len();
-        let m = members.len();
-        let mut slot_entry = Vec::with_capacity(c * m);
-        for &user in clique {
-            for row in members {
-                slot_entry.push(model.slot_cost(user, row));
-            }
-        }
-        let mut pair = Vec::new();
-        model.fill_pair_table(clique, &mut pair);
-        let demands = clique
-            .iter()
-            .map(|&user| model.demand_dense(user))
-            .collect();
+    /// [`CliqueCost::fill_hashed`] against the compiled data plane: the
+    /// clique and the per-slot member lists are dense ids and both tables
+    /// come from [`CompiledModel::fill_cost_tables`]. Metric accounting is
+    /// identical — `core.cost.delta_evals` counts one eval per (member,
+    /// slot-resident) pair exactly as the hashed path does.
+    fn fill_compiled(&mut self, model: &CompiledModel, clique: &[u32], members: &[Vec<u32>]) {
+        model.fill_cost_tables(
+            clique,
+            members,
+            &mut self.row,
+            &mut self.slot_entry,
+            &mut self.pair,
+        );
+        self.demands.clear();
+        self.demands
+            .extend(clique.iter().map(|&user| model.demand_dense(user)));
+        self.slots = members.len();
         let member_total: usize = members.iter().map(|row| row.len()).sum();
-        Self::record_build(c, member_total);
-        CliqueCost {
-            slot_entry,
-            pair,
-            demands,
-            slots: m,
-        }
+        Self::record_build(clique.len(), member_total);
     }
 
     fn record_build(c: usize, member_total: usize) {
-        let registry = s3_obs::global();
-        registry.counter(&COST_TABLE_BUILDS).inc();
-        registry
-            .counter(&COST_DELTA_EVALS)
+        COST_TABLE_BUILDS.get().inc();
+        COST_DELTA_EVALS
+            .get()
             .add((c * member_total + c * (c.saturating_sub(1)) / 2) as u64);
     }
 
-    /// Table cells a single [`CliqueCost::score`] call reads: one
-    /// `slot_entry` cell per member plus every ordered pair of members.
+    /// Table cells scoring one candidate reads: one `slot_entry` cell per
+    /// member plus every ordered pair of members.
     fn lookups_per_score(&self) -> u64 {
         let c = self.demands.len();
         (c + c * (c.saturating_sub(1)) / 2) as u64
     }
 
-    /// Social cost + projected balance of a full assignment; the cost is
-    /// `+∞` when a slot's bandwidth constraint would break. `scratch` is
-    /// cleared and refilled — callers hold one per scoring run so the hot
-    /// loop performs no per-candidate allocation. Arithmetic (accumulation
-    /// order, capacity test, epsilon mix-in) is unchanged from the nested
-    /// `Vec` version, so scores are bit-identical.
-    fn score(
-        &self,
-        assignment: &[usize],
-        slots: &SlotArrays,
-        scratch: &mut ScoreScratch,
-    ) -> (f64, f64) {
+    /// Pass 1 for one full assignment: its social cost, or `+∞` when a
+    /// slot's bandwidth constraint would break. Each placed user pays δ to
+    /// the existing members of its slot and to clique members already
+    /// placed there, summed in member order; per-slot demand accumulates
+    /// from `0.0` in member order and only the slots the assignment uses
+    /// are tested (`added` is all zero on entry and on return).
+    fn feasible_cost(&self, assignment: &[usize], states: &[SlotState], added: &mut [f64]) -> f64 {
         let m = self.slots;
         let c = self.demands.len();
-        scratch.added_demand.clear();
-        scratch.added_demand.resize(m, 0.0);
-        scratch.added_members.clear();
-        scratch.added_members.resize(m, 0);
         let mut cost = 0.0;
-        // Social cost: each placed user pays δ to existing members of its
-        // slot and to clique members already placed on the same slot.
         for (idx, &slot) in assignment.iter().enumerate() {
             cost += self.slot_entry[idx * m + slot];
             for (prev_idx, &prev_slot) in assignment[..idx].iter().enumerate() {
@@ -308,55 +324,316 @@ impl CliqueCost {
                     cost += self.pair[prev_idx * c + idx];
                 }
             }
-            scratch.added_demand[slot] += self.demands[idx];
-            scratch.added_members[slot] += 1;
+            added[slot] += self.demands[idx];
         }
-        // Bandwidth constraint: any overloaded slot poisons the distribution.
-        scratch.loads.clear();
-        for s in 0..m {
-            let add = scratch.added_demand[s];
-            let load = slots.load[s] + add;
-            if load > slots.capacity[s] && add > 0.0 {
-                return (f64::INFINITY, 0.0);
-            }
-            scratch.loads.push(
-                load + (slots.member_count[s] + scratch.added_members[s]) as f64
-                    * MEMBER_EPSILON_BPS,
-            );
+        let overloaded = assignment.iter().any(|&slot| {
+            let add = added[slot];
+            states[slot].load + add > states[slot].capacity && add > 0.0
+        });
+        for &slot in assignment {
+            added[slot] = 0.0;
         }
-        let balance = normalized_balance_index(&scratch.loads).unwrap_or(0.0);
-        (cost, balance)
+        if overloaded {
+            f64::INFINITY
+        } else {
+            cost
+        }
     }
 }
 
-/// Reusable per-candidate buffers for [`CliqueCost::score`]: the added
-/// demand / member tallies and the projected load vector. One lives per
-/// enumeration block (or beam scoring block), so steady-state scoring
-/// allocates nothing per candidate.
+/// Where the candidates of one search live: candidate `i` is either the
+/// base-`m` code `i` of the exhaustive enumeration (member 0 the least
+/// significant digit) or row `i` of the final beam.
+#[derive(Debug, Clone, Copy)]
+enum Space {
+    Enumerated,
+    Beam,
+}
+
+/// One child of a beam level: `pos = parent · m + slot` is its place in
+/// the level's parent-major expansion order.
+#[derive(Debug, Clone, Copy)]
+struct Child {
+    pos: usize,
+    cost: f64,
+}
+
+/// Reusable working memory of the distribution search: the cost tables
+/// and every per-candidate buffer, so a warm search allocates nothing.
 #[derive(Debug, Clone, Default)]
-struct ScoreScratch {
+pub(crate) struct SearchScratch {
+    cost: CliqueCost,
+    /// Pass-1 cost per candidate (`+∞` for a capacity violation).
+    costs: Vec<f64>,
+    /// Feasible costs, permuted by the rank selection.
+    ranked: Vec<f64>,
+    /// The candidate being scored.
+    assignment: Vec<usize>,
+    /// Per-slot demand / member tallies of `assignment`; all zero between
+    /// candidates.
     added_demand: Vec<f64>,
     added_members: Vec<usize>,
+    /// Projected load vector of the candidate being balanced.
     loads: Vec<f64>,
+    /// Beam rows (one assignment prefix each, flat) and their costs.
+    beam: Vec<usize>,
+    next_beam: Vec<usize>,
+    beam_cost: Vec<f64>,
+    children: Vec<Child>,
+    /// Per-slot added cost of the parent being expanded.
+    child_added: Vec<f64>,
 }
 
-/// Structure-of-arrays snapshot of the slot states for the scoring loop:
-/// three parallel arrays instead of a struct per slot, so the capacity
-/// check and load projection stream through contiguous f64s. Built once
-/// per [`search_distribution`] call.
-struct SlotArrays {
-    load: Vec<f64>,
-    capacity: Vec<f64>,
-    member_count: Vec<usize>,
-}
+impl SearchScratch {
+    /// Fills the cost tables of `clique` from the compiled model (see
+    /// [`CliqueCost::fill_compiled`]); [`SearchScratch::search`] then
+    /// distributes it.
+    pub(crate) fn fill_compiled(
+        &mut self,
+        model: &CompiledModel,
+        clique: &[u32],
+        members: &[Vec<u32>],
+    ) {
+        self.cost.fill_compiled(model, clique, members);
+    }
 
-impl SlotArrays {
-    fn from_states(states: &[SlotState]) -> SlotArrays {
-        SlotArrays {
-            load: states.iter().map(|s| s.load).collect(),
-            capacity: states.iter().map(|s| s.capacity).collect(),
-            member_count: states.iter().map(|s| s.member_count).collect(),
+    /// The enumerate-or-beam + top-fraction + balance search over the
+    /// filled cost tables: writes one slot index per clique member into
+    /// `out`. When every distribution violates capacity the least-loaded
+    /// slots are used anyway (users must be served).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `states` is empty while the clique is not, or when
+    /// `states` and the cost tables disagree on the slot count.
+    pub(crate) fn search(&mut self, states: &[SlotState], config: &S3Config, out: &mut Vec<usize>) {
+        out.clear();
+        let c = self.cost.demands.len();
+        if c == 0 {
+            return;
         }
+        assert!(!states.is_empty(), "cannot assign a clique to zero APs");
+        let m = states.len();
+        assert_eq!(self.cost.slots, m, "one member row per slot");
+        CLIQUES_ASSIGNED.get().inc();
+        CLIQUE_SIZE.get().observe(c as u64);
+        self.added_demand.clear();
+        self.added_demand.resize(m, 0.0);
+        self.added_members.clear();
+        self.added_members.resize(m, 0);
+
+        let space = match m
+            .checked_pow(c as u32)
+            .filter(|&s| s <= config.enumeration_limit)
+        {
+            Some(total) => {
+                self.enumerate(total, states);
+                Space::Enumerated
+            }
+            None => {
+                self.beam_search(states, config.beam_width);
+                Space::Beam
+            }
+        };
+        match self.pick(states, config.top_fraction, space) {
+            Some(winner) => {
+                self.load_candidate(space, winner);
+                out.extend_from_slice(&self.assignment);
+            }
+            None => {
+                FALLBACKS.get().inc();
+                fallback_least_loaded(&self.cost.demands, states, out);
+            }
+        }
+    }
+
+    /// Pass 1 over the exhaustive space: codes `0..total` in order, decoded
+    /// by an odometer (member 0 is the least significant base-`m` digit).
+    fn enumerate(&mut self, total: usize, states: &[SlotState]) {
+        let m = self.cost.slots;
+        let c = self.cost.demands.len();
+        self.assignment.clear();
+        self.assignment.resize(c, 0);
+        self.costs.clear();
+        for code in 0..total {
+            if code > 0 {
+                for slot in self.assignment.iter_mut() {
+                    *slot += 1;
+                    if *slot < m {
+                        break;
+                    }
+                    *slot = 0;
+                }
+            }
+            let cost = self
+                .cost
+                .feasible_cost(&self.assignment, states, &mut self.added_demand);
+            self.costs.push(cost);
+        }
+        let feasible = self.costs.iter().filter(|x| x.is_finite()).count();
+        CANDIDATES_ENUMERATED.get().add(total as u64);
+        CAPACITY_REJECTIONS.get().add((total - feasible) as u64);
+        COST_LOOKUPS
+            .get()
+            .add(total as u64 * self.cost.lookups_per_score());
+    }
+
+    /// Pass 1 over the beam space. Each level expands every prefix over
+    /// all `m` slots, keeps the `beam_width` cheapest children by (running
+    /// cost, expansion order) — what a stable sort by cost and a truncation
+    /// keep — and materializes only the kept prefixes. The leaves are then
+    /// costed afresh in [`CliqueCost::feasible_cost`]'s accumulation order,
+    /// which can round differently from the running prefix sums.
+    fn beam_search(&mut self, states: &[SlotState], beam_width: usize) {
+        let m = self.cost.slots;
+        let c = self.cost.demands.len();
+        let by_cost = |a: &Child, b: &Child| {
+            a.cost
+                .partial_cmp(&b.cost)
+                .expect("finite costs")
+                .then(a.pos.cmp(&b.pos))
+        };
+        self.beam.clear();
+        self.beam_cost.clear();
+        self.beam_cost.push(0.0);
+        for idx in 0..c {
+            let parents = self.beam_cost.len();
+            BEAM_EXPANSIONS.get().add(parents as u64);
+            self.children.clear();
+            let entry = &self.cost.slot_entry[idx * m..(idx + 1) * m];
+            for parent in 0..parents {
+                self.child_added.clear();
+                self.child_added.extend_from_slice(entry);
+                let prefix = &self.beam[parent * idx..(parent + 1) * idx];
+                for (prev_idx, &prev_slot) in prefix.iter().enumerate() {
+                    self.child_added[prev_slot] += self.cost.pair[prev_idx * c + idx];
+                }
+                let cost = self.beam_cost[parent];
+                for (slot, &added) in self.child_added.iter().enumerate() {
+                    self.children.push(Child {
+                        pos: parent * m + slot,
+                        cost: cost + added,
+                    });
+                }
+            }
+            BEAM_PRUNES
+                .get()
+                .add(self.children.len().saturating_sub(beam_width) as u64);
+            if self.children.len() > beam_width {
+                self.children
+                    .select_nth_unstable_by(beam_width - 1, by_cost);
+                self.children.truncate(beam_width);
+            }
+            self.children.sort_unstable_by(by_cost);
+            self.next_beam.clear();
+            self.beam_cost.clear();
+            for child in &self.children {
+                let (parent, slot) = (child.pos / m, child.pos % m);
+                self.next_beam
+                    .extend_from_slice(&self.beam[parent * idx..(parent + 1) * idx]);
+                self.next_beam.push(slot);
+                self.beam_cost.push(child.cost);
+            }
+            std::mem::swap(&mut self.beam, &mut self.next_beam);
+        }
+        let leaves = self.beam_cost.len();
+        CANDIDATES_ENUMERATED.get().add(leaves as u64);
+        COST_LOOKUPS
+            .get()
+            .add(leaves as u64 * self.cost.lookups_per_score());
+        self.costs.clear();
+        for row in self.beam.chunks_exact(c) {
+            let cost = self.cost.feasible_cost(row, states, &mut self.added_demand);
+            self.costs.push(cost);
+        }
+        let feasible = self.costs.iter().filter(|x| x.is_finite()).count();
+        CAPACITY_REJECTIONS.get().add((leaves - feasible) as u64);
+    }
+
+    /// Pass 2: the winning candidate index, or `None` when every candidate
+    /// violated capacity. Keeps every feasible candidate whose cost is
+    /// within `1e-12` of the cost at rank `⌈N·top_fraction⌉`, and scores
+    /// the balance of those only.
+    fn pick(&mut self, states: &[SlotState], top_fraction: f64, space: Space) -> Option<usize> {
+        self.ranked.clear();
+        self.ranked
+            .extend(self.costs.iter().copied().filter(|x| x.is_finite()));
+        let n = self.ranked.len();
+        if n == 0 {
+            return None;
+        }
+        let keep = ((n as f64 * top_fraction).ceil() as usize).clamp(1, n);
+        // Ties at the cut-off stay in: "top 30 % by cost" must not split a
+        // set of equal-cost distributions arbitrarily, or the balance
+        // tie-break never sees them.
+        let (_, &mut boundary, _) = self
+            .ranked
+            .select_nth_unstable_by(keep - 1, |a, b| a.partial_cmp(b).expect("finite costs"));
+        let limit = boundary + 1e-12;
+        // (candidate, cost, balance) of the best so far.
+        let mut best: Option<(usize, f64, f64)> = None;
+        for i in 0..self.costs.len() {
+            let cost = self.costs[i];
+            if cost > limit {
+                continue;
+            }
+            self.load_candidate(space, i);
+            let balance = self.balance(states);
+            let wins = best.is_none_or(|(_, best_cost, best_balance)| {
+                match balance.partial_cmp(&best_balance).expect("finite balance") {
+                    std::cmp::Ordering::Greater => true,
+                    std::cmp::Ordering::Less => false,
+                    std::cmp::Ordering::Equal => cost >= best_cost,
+                }
+            });
+            if wins {
+                best = Some((i, cost, balance));
+            }
+        }
+        best.map(|(i, _, _)| i)
+    }
+
+    /// Writes candidate `i` of `space` into `self.assignment`.
+    fn load_candidate(&mut self, space: Space, i: usize) {
+        let m = self.cost.slots;
+        let c = self.cost.demands.len();
+        self.assignment.clear();
+        match space {
+            Space::Enumerated => {
+                let mut code = i;
+                for _ in 0..c {
+                    self.assignment.push(code % m);
+                    code /= m;
+                }
+            }
+            Space::Beam => self
+                .assignment
+                .extend_from_slice(&self.beam[i * c..(i + 1) * c]),
+        }
+    }
+
+    /// Projected balance index of `self.assignment`: every slot's load
+    /// plus the demand the assignment adds there plus the member epsilon.
+    fn balance(&mut self, states: &[SlotState]) -> f64 {
+        for (idx, &slot) in self.assignment.iter().enumerate() {
+            self.added_demand[slot] += self.cost.demands[idx];
+            self.added_members[slot] += 1;
+        }
+        self.loads.clear();
+        for ((state, &add), &members) in states
+            .iter()
+            .zip(&self.added_demand)
+            .zip(&self.added_members)
+        {
+            let load = state.load + add;
+            self.loads
+                .push(load + (state.member_count + members) as f64 * MEMBER_EPSILON_BPS);
+        }
+        for &slot in &self.assignment {
+            self.added_demand[slot] = 0.0;
+            self.added_members[slot] = 0;
+        }
+        normalized_balance_index(&self.loads).unwrap_or(0.0)
     }
 }
 
@@ -383,225 +660,26 @@ where
         return Vec::new();
     }
     assert!(!slots.is_empty(), "cannot assign a clique to zero APs");
-    let cache = CliqueCost::new(clique, slots, &delta, &demand);
+    let mut scratch = SearchScratch::default();
+    scratch.cost.fill_hashed(clique, slots, &delta, &demand);
     let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
-    search_distribution(&cache, &states, config)
+    let mut out = Vec::with_capacity(clique.len());
+    scratch.search(&states, config, &mut out);
+    out
 }
 
-/// [`assign_clique`] against the compiled data plane: `clique` and the
-/// per-slot `members` rows are dense ids (including [`crate::compiled::NO_USER`]
-/// for unknown arrivals), `states` carries the identity-free slot loads.
-/// Same search, same metrics, same answers — bit for bit.
-///
-/// # Panics
-///
-/// Panics if `states` is empty while `clique` is not, or when `members` and
-/// `states` disagree on the slot count.
-pub(crate) fn assign_clique_compiled(
-    model: &CompiledModel,
-    clique: &[u32],
-    members: &[Vec<u32>],
-    states: &[SlotState],
-    config: &S3Config,
-) -> Vec<usize> {
-    if clique.is_empty() {
-        return Vec::new();
+fn fallback_least_loaded(demands: &[f64], states: &[SlotState], out: &mut Vec<usize>) {
+    let mut loads: Vec<f64> = states.iter().map(|s| s.load).collect();
+    for &demand in demands {
+        let slot = loads
+            .iter()
+            .enumerate()
+            .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
+            .map(|(i, _)| i)
+            .expect("slots non-empty");
+        loads[slot] += demand;
+        out.push(slot);
     }
-    assert!(!states.is_empty(), "cannot assign a clique to zero APs");
-    assert_eq!(members.len(), states.len(), "one member row per slot");
-    let cache = CliqueCost::from_compiled(model, clique, members);
-    search_distribution(&cache, states, config)
-}
-
-/// The enumerate-or-beam + top-fraction + balance search both entry points
-/// share once their cost tables are built.
-fn search_distribution(cache: &CliqueCost, states: &[SlotState], config: &S3Config) -> Vec<usize> {
-    let registry = s3_obs::global();
-    registry.counter(&CLIQUES_ASSIGNED).inc();
-    let c = cache.demands.len();
-    registry.histogram(&CLIQUE_SIZE).observe(c as u64);
-    let m = states.len();
-    let threads = config.effective_threads();
-    let slots = SlotArrays::from_states(states);
-
-    let space: Option<usize> = m
-        .checked_pow(c as u32)
-        .filter(|&s| s <= config.enumeration_limit);
-    let candidates: Vec<Candidate> = match space {
-        Some(total) => enumerate_all(total, m, c, cache, &slots, threads),
-        None => beam_search(m, c, cache, &slots, config.beam_width, threads),
-    };
-
-    select_best(candidates, config).unwrap_or_else(|| {
-        registry.counter(&FALLBACKS).inc();
-        fallback_least_loaded(&cache.demands, &slots)
-    })
-}
-
-/// Fixed number of codes each enumeration work item decodes and scores.
-/// A constant block size keeps the work split — and hence the candidate
-/// order after the in-order merge — independent of the thread count.
-const ENUM_BLOCK: usize = 512;
-
-fn enumerate_all(
-    total: usize,
-    m: usize,
-    c: usize,
-    cache: &CliqueCost,
-    slots: &SlotArrays,
-    threads: usize,
-) -> Vec<Candidate> {
-    let registry = s3_obs::global();
-    let enumerated = registry.counter(&CANDIDATES_ENUMERATED);
-    let rejected = registry.counter(&CAPACITY_REJECTIONS);
-    let lookups = registry.counter(&COST_LOOKUPS);
-    let per_score = cache.lookups_per_score();
-    let block_starts: Vec<usize> = (0..total).step_by(ENUM_BLOCK).collect();
-    let blocks = s3_par::par_map(&block_starts, threads, |_, &start| {
-        let end = (start + ENUM_BLOCK).min(total);
-        let mut out = Vec::new();
-        let mut assignment = vec![0usize; c];
-        let mut scratch = ScoreScratch::default();
-        for code in start..end {
-            let mut x = code;
-            for slot in assignment.iter_mut() {
-                *slot = x % m;
-                x /= m;
-            }
-            let (cost, balance) = cache.score(&assignment, slots, &mut scratch);
-            if cost.is_finite() {
-                out.push(Candidate {
-                    assignment: assignment.clone(),
-                    cost,
-                    balance,
-                });
-            }
-        }
-        // One counter add per 512-code block, not per candidate, keeps the
-        // atomics out of the scoring loop.
-        let scored = (end - start) as u64;
-        enumerated.add(scored);
-        rejected.add(scored - out.len() as u64);
-        lookups.add(scored * per_score);
-        out
-    });
-    // Blocks come back in ascending code order, so the candidate list is
-    // identical to a sequential scan over 0..total.
-    blocks.into_iter().flatten().collect()
-}
-
-fn beam_search(
-    m: usize,
-    c: usize,
-    cache: &CliqueCost,
-    slots: &SlotArrays,
-    beam_width: usize,
-    threads: usize,
-) -> Vec<Candidate> {
-    let registry = s3_obs::global();
-    let expansions = registry.counter(&BEAM_EXPANSIONS);
-    let prunes = registry.counter(&BEAM_PRUNES);
-    // Partial state: assignment prefix and its social cost so far.
-    let mut beam: Vec<(Vec<usize>, f64)> = vec![(Vec::new(), 0.0)];
-    for idx in 0..c {
-        expansions.add(beam.len() as u64);
-        // Expanding a prefix touches nothing but the cache, so the beam
-        // fans out across threads; flattening in prefix order followed by a
-        // *stable* sort reproduces the sequential beam exactly.
-        let mut next: Vec<(Vec<usize>, f64)> =
-            s3_par::par_map(&beam, threads, |_, (prefix, cost)| {
-                let c = cache.demands.len();
-                let mut children = Vec::with_capacity(m);
-                for slot in 0..m {
-                    let mut added = cache.slot_entry[idx * m + slot];
-                    for (prev_idx, &prev_slot) in prefix.iter().enumerate() {
-                        if prev_slot == slot {
-                            added += cache.pair[prev_idx * c + idx];
-                        }
-                    }
-                    let mut assignment = prefix.clone();
-                    assignment.push(slot);
-                    children.push((assignment, cost + added));
-                }
-                children
-            })
-            .into_iter()
-            .flatten()
-            .collect();
-        next.sort_by(|a, b| a.1.partial_cmp(&b.1).expect("finite costs"));
-        prunes.add(next.len().saturating_sub(beam_width) as u64);
-        next.truncate(beam_width);
-        beam = next;
-        debug_assert!(beam.iter().all(|(a, _)| a.len() == idx + 1));
-    }
-    let enumerated = registry.counter(&CANDIDATES_ENUMERATED);
-    let rejected = registry.counter(&CAPACITY_REJECTIONS);
-    let lookups = registry.counter(&COST_LOOKUPS);
-    enumerated.add(beam.len() as u64);
-    lookups.add(beam.len() as u64 * cache.lookups_per_score());
-    // Final scoring runs in fixed-size blocks like the exhaustive path, so
-    // each work item reuses one scratch across its block; blocks come back
-    // in beam order, preserving the sequential candidate list.
-    let block_starts: Vec<usize> = (0..beam.len()).step_by(ENUM_BLOCK).collect();
-    let survivors: Vec<Candidate> = s3_par::par_map(&block_starts, threads, |_, &start| {
-        let end = (start + ENUM_BLOCK).min(beam.len());
-        let mut scratch = ScoreScratch::default();
-        let mut out = Vec::new();
-        for (assignment, _) in &beam[start..end] {
-            let (cost, balance) = cache.score(assignment, slots, &mut scratch);
-            if cost.is_finite() {
-                out.push(Candidate {
-                    assignment: assignment.clone(),
-                    cost,
-                    balance,
-                });
-            }
-        }
-        out
-    })
-    .into_iter()
-    .flatten()
-    .collect();
-    rejected.add((beam.len() - survivors.len()) as u64);
-    survivors
-}
-
-fn select_best(mut candidates: Vec<Candidate>, config: &S3Config) -> Option<Vec<usize>> {
-    if candidates.is_empty() {
-        return None;
-    }
-    candidates.sort_by(|a, b| a.cost.partial_cmp(&b.cost).expect("finite costs"));
-    let mut keep = ((candidates.len() as f64 * config.top_fraction).ceil() as usize)
-        .clamp(1, candidates.len());
-    // Ties at the cut-off stay in: "top 30 % by cost" must not split a set
-    // of equal-cost distributions arbitrarily, or the balance tie-break
-    // never sees them.
-    let boundary = candidates[keep - 1].cost;
-    while keep < candidates.len() && candidates[keep].cost <= boundary + 1e-12 {
-        keep += 1;
-    }
-    candidates.truncate(keep);
-    candidates
-        .into_iter()
-        .max_by(|a, b| a.balance.partial_cmp(&b.balance).expect("finite balance"))
-        .map(|c| c.assignment)
-}
-
-fn fallback_least_loaded(demands: &[f64], slots: &SlotArrays) -> Vec<usize> {
-    let mut loads: Vec<f64> = slots.load.clone();
-    demands
-        .iter()
-        .map(|&demand| {
-            let slot = loads
-                .iter()
-                .enumerate()
-                .min_by(|a, b| a.1.partial_cmp(b.1).expect("finite loads"))
-                .map(|(i, _)| i)
-                .expect("slots non-empty");
-            loads[slot] += demand;
-            slot
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -742,11 +820,11 @@ mod tests {
                 ..config()
             },
         );
-        let cache = CliqueCost::new(&clique, &slots, &delta, &|_: UserId| 1e4);
+        let mut cache = CliqueCost::default();
+        cache.fill_hashed(&clique, &slots, &delta, &|_: UserId| 1e4);
         let states: Vec<SlotState> = slots.iter().map(SlotState::of).collect();
-        let arrays = SlotArrays::from_states(&states);
-        let mut scratch = ScoreScratch::default();
-        let mut cost = |assignment: &[usize]| cache.score(assignment, &arrays, &mut scratch).0;
+        let mut added = vec![0.0; slots.len()];
+        let mut cost = |assignment: &[usize]| cache.feasible_cost(assignment, &states, &mut added);
         assert!((cost(&full) - cost(&beamed)).abs() < 1e-9);
     }
 

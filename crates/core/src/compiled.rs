@@ -21,7 +21,13 @@
 //!   neighbor row per user, so the pair term of `δ` is a binary search
 //!   over a short row instead of a hash probe, and the per-AP social cost
 //!   `Σ_{w∈S(AP)} δ(u,w)` is a scan of the AP's member list against u's
-//!   row with zero hashing and zero allocation ([`CompiledModel::slot_cost`]).
+//!   row with zero hashing and zero allocation ([`CompiledModel::slot_cost`]);
+//!   a clique's whole cost table scatters each member's row into a dense
+//!   scratch once and reads it per slot member in O(1)
+//!   ([`CompiledModel::fill_cost_tables`]);
+//! * when the raw ids the model knows are dense (the largest is below
+//!   [`DIRECT_INDEX_FACTOR`] times the interned count) a raw → dense
+//!   table replaces the binary search of [`CompiledModel::dense_id`].
 //!
 //! # Determinism
 //!
@@ -73,6 +79,12 @@ pub const NO_USER: u32 = u32::MAX;
 /// Type sentinel for a user the clustering never assigned.
 const NO_TYPE: u8 = u8::MAX;
 
+/// The raw → dense table of [`CompiledModel::dense_id`] is built only when
+/// the largest interned raw id is below this multiple of the interned
+/// count, so it never takes more than this many `u32`s per known user;
+/// sparser id spaces keep the binary search.
+pub const DIRECT_INDEX_FACTOR: usize = 4;
+
 /// A [`SocialModel`] frozen into dense, allocation-free query form.
 ///
 /// Build one with [`CompiledModel::compile`]; the selector does so once at
@@ -82,6 +94,9 @@ const NO_TYPE: u8 = u8::MAX;
 pub struct CompiledModel {
     /// Sorted raw user ids; the dense id of a user is its index here.
     users: Vec<u32>,
+    /// `direct[raw]` = dense id of raw id `raw` ([`NO_USER`] for a gap);
+    /// empty when the raw ids are too sparse (see [`DIRECT_INDEX_FACTOR`]).
+    direct: Vec<u32>,
     /// Cluster assignment per dense user ([`NO_TYPE`] when unclustered).
     user_type: Vec<u8>,
     /// Demand estimate `w(u)` in bits/s per dense user.
@@ -191,12 +206,23 @@ impl CompiledModel {
         let neighbors: Vec<u32> = entries.iter().map(|e| e.1).collect();
         let pair_prob: Vec<f64> = entries.iter().map(|e| e.2).collect();
 
+        let mut direct = Vec::new();
+        if let Some(&max) = users.last() {
+            if (max as usize) < DIRECT_INDEX_FACTOR * n {
+                direct = vec![NO_USER; max as usize + 1];
+                for (i, &raw) in users.iter().enumerate() {
+                    direct[raw as usize] = i as u32;
+                }
+            }
+        }
+
         let registry = s3_obs::global();
         registry.counter(&COMPILED_USERS).add(n as u64);
         registry.counter(&CSR_EDGES).add(neighbors.len() as u64);
 
         CompiledModel {
             users,
+            direct,
             user_type,
             demand,
             fallback_demand,
@@ -241,10 +267,30 @@ impl CompiledModel {
         self.stale
     }
 
-    /// The dense id of `user`, if the model knows it (binary search over
-    /// the sorted intern table — no hashing).
+    /// The dense id of `user`, if the model knows it: one read of the raw
+    /// → dense table when the ids are dense, a binary search over the
+    /// sorted intern table otherwise — no hashing either way.
     pub fn dense_id(&self, user: UserId) -> Option<u32> {
-        self.users.binary_search(&user.raw()).ok().map(|i| i as u32)
+        let raw = user.raw();
+        if self.direct.is_empty() {
+            self.users.binary_search(&raw).ok().map(|i| i as u32)
+        } else {
+            self.direct
+                .get(raw as usize)
+                .copied()
+                .filter(|&d| d != NO_USER)
+        }
+    }
+
+    /// The interned raw ids, sorted; the dense id of each is its index.
+    pub fn interned_ids(&self) -> &[u32] {
+        &self.users
+    }
+
+    /// Whether [`CompiledModel::dense_id`] reads the raw → dense table
+    /// (dense raw ids) rather than binary-searching.
+    pub fn has_direct_index(&self) -> bool {
+        !self.direct.is_empty()
     }
 
     /// The dense id of `user`, or [`NO_USER`] when unknown.
@@ -385,44 +431,89 @@ impl CompiledModel {
         out.extend(users.into_iter().map(|u| self.dense_or_unknown(u)));
     }
 
-    /// Fills `out` with the flat `c × c` pairwise δ table of `clique`
-    /// (row-major, symmetric, zero diagonal): cell `i·c + j` is
-    /// bit-identical to `delta_dense(clique[i], clique[j])`, but u's CSR
-    /// row and type are hoisted once per row instead of re-derived per
-    /// pair. Sentinel ([`NO_USER`]) and duplicate entries leave their
-    /// cells at the exact `0.0` `delta_dense` returns for them.
-    pub(crate) fn fill_pair_table(&self, clique: &[u32], out: &mut Vec<f64>) {
+    /// Fills one clique's cost tables, bit-identical to the per-cell
+    /// queries but with u's CSR row read once per clique member:
+    ///
+    /// * `slot_entry[i·m + s]` = [`CompiledModel::slot_cost`]`(clique[i],
+    ///   &members[s])` — same member-order sum, same `-0.0` start;
+    /// * `pair[i·c + j]` = [`CompiledModel::delta_dense`]`(clique[i],
+    ///   clique[j])` — symmetric, zero diagonal.
+    ///
+    /// Each member's row is scattered into `row` (one `f64` per interned
+    /// user, grown on first use and all zero between calls), so every
+    /// pair term is one read instead of a binary search, then cleared.
+    pub fn fill_cost_tables(
+        &self,
+        clique: &[u32],
+        members: &[Vec<u32>],
+        row: &mut Vec<f64>,
+        slot_entry: &mut Vec<f64>,
+        pair: &mut Vec<f64>,
+    ) {
         let c = clique.len();
-        out.clear();
-        out.resize(c * c, 0.0);
-        for i in 0..c {
-            let u = clique[i];
-            if u == NO_USER {
+        slot_entry.clear();
+        pair.clear();
+        pair.resize(c * c, 0.0);
+        if row.len() < self.users.len() {
+            row.resize(self.users.len(), 0.0);
+        }
+        for (i, &u) in clique.iter().enumerate() {
+            let tu = if u == NO_USER {
+                NO_TYPE
+            } else {
+                self.user_type[u as usize]
+            };
+            let (start, end) = if u == NO_USER { (0, 0) } else { self.row(u) };
+            if start == end && tu == NO_TYPE {
+                // No pair term, no type term: every cost is an all-zero
+                // scan, and the pair row keeps its zeros.
+                for slot in members {
+                    let mut cost = -0.0f64;
+                    if !slot.is_empty() {
+                        cost += 0.0;
+                    }
+                    slot_entry.push(cost);
+                }
                 continue;
             }
-            let (start, end) = self.row(u);
-            let row = &self.neighbors[start..end];
-            let probs = &self.pair_prob[start..end];
-            let tu = self.user_type[u as usize];
+            for (&w, &p) in self.neighbors[start..end]
+                .iter()
+                .zip(&self.pair_prob[start..end])
+            {
+                row[w as usize] = p;
+            }
+            // Exactly the delta_dense expression, on the same inputs: the
+            // scattered row holds P(L|E) for neighbors and +0.0 elsewhere.
+            let delta = |w: u32| -> f64 {
+                if w == u || w == NO_USER {
+                    return 0.0;
+                }
+                let tw = self.user_type[w as usize];
+                let type_term = if tu == NO_TYPE || tw == NO_TYPE {
+                    0.0
+                } else {
+                    self.type_matrix[tu as usize * self.k + tw as usize]
+                };
+                row[w as usize] + self.alpha * type_term
+            };
+            for slot in members {
+                let mut cost = -0.0f64;
+                for &w in slot {
+                    cost += delta(w);
+                }
+                slot_entry.push(cost);
+            }
             for j in i + 1..c {
                 let v = clique[j];
                 if v == NO_USER || v == u {
                     continue;
                 }
-                let pair_term = match row.binary_search(&v) {
-                    Ok(pos) => probs[pos],
-                    Err(_) => 0.0,
-                };
-                let tv = self.user_type[v as usize];
-                let type_term = if tu == NO_TYPE || tv == NO_TYPE {
-                    0.0
-                } else {
-                    self.type_matrix[tu as usize * self.k + tv as usize]
-                };
-                // Exactly the delta_dense expression, on the same inputs.
-                let d = pair_term + self.alpha * type_term;
-                out[i * c + j] = d;
-                out[j * c + i] = d;
+                let d = delta(v);
+                pair[i * c + j] = d;
+                pair[j * c + i] = d;
+            }
+            for &w in &self.neighbors[start..end] {
+                row[w as usize] = 0.0;
             }
         }
     }

@@ -9,7 +9,7 @@
 //!
 //! Simultaneous arrivals (class start) run the full Algorithm 1: build the
 //! δ-threshold graph over the batch, peel maximum cliques, and distribute
-//! each clique via [`crate::batch::assign_clique`].
+//! each clique via the distribution search of [`crate::batch`].
 //!
 //! Every decision runs on the **compiled data plane** (see
 //! [`crate::compiled`] and `docs/PERF.md`): the selector freezes its
@@ -19,14 +19,16 @@
 //! request warms the buffers, no allocation. The answers are bit-identical
 //! to the hashed path (enforced by `tests/compiled_props.rs`).
 
+use std::time::{Duration, Instant};
+
 use s3_graph::clique::{CliqueBudget, CliqueWorkspace};
 use s3_graph::partition::clique_partition_in;
-use s3_obs::{Desc, Stability, Unit};
+use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_wlan::selector::{
     ApSelector, ApView, ArrivalUser, DecisionMeta, LeastLoadedFirst, SelectionContext,
 };
 
-use crate::batch::{assign_clique_compiled, build_social_graph_compiled, SlotState};
+use crate::batch::{build_social_graph_compiled, LazyHistogram, SearchScratch, SlotState};
 use crate::compiled::CompiledModel;
 use crate::{S3Config, SocialModel};
 
@@ -44,6 +46,52 @@ static DEGRADED_SELECTIONS: Desc = Desc {
     unit: Unit::Count,
     stability: Stability::Stable,
 };
+
+// Per-layer wall time of each selection call (documented in
+// docs/METRICS.md). Volatile: wall time is never reproducible. `graph` and
+// `clique` are recorded by batch calls only; `cost` and `search` sum over
+// the call's cliques.
+const LAYER_BOUNDS: &[u64] = &[1, 10, 100, 1_000, 10_000, 100_000];
+static PREPARE_MICROS: LazyHistogram = LazyHistogram::new(HistogramDesc {
+    name: "core.select.prepare_micros",
+    help: "S3 selection time refilling the candidate APs' dense member lists, per call",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: LAYER_BOUNDS,
+});
+static GRAPH_MICROS: LazyHistogram = LazyHistogram::new(HistogramDesc {
+    name: "core.select.graph_micros",
+    help: "S3 selection time building the batch's social graph, per batch call",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: LAYER_BOUNDS,
+});
+static CLIQUE_MICROS: LazyHistogram = LazyHistogram::new(HistogramDesc {
+    name: "core.select.clique_micros",
+    help: "S3 selection time partitioning the batch into cliques, per batch call",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: LAYER_BOUNDS,
+});
+static COST_MICROS: LazyHistogram = LazyHistogram::new(HistogramDesc {
+    name: "core.select.cost_micros",
+    help: "S3 selection time filling clique cost tables, per call",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: LAYER_BOUNDS,
+});
+static SEARCH_MICROS: LazyHistogram = LazyHistogram::new(HistogramDesc {
+    name: "core.select.search_micros",
+    help: "S3 selection time in the clique distribution search, per call",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: LAYER_BOUNDS,
+});
+
+fn observe_micros(span: &'static LazyHistogram, elapsed: Duration) {
+    span.get()
+        .observe(u64::try_from(elapsed.as_micros()).unwrap_or(u64::MAX));
+}
 
 /// The S³ policy. Construct with a trained [`SocialModel`].
 ///
@@ -90,6 +138,10 @@ struct Scratch {
     demands: Vec<f64>,
     /// Dense ids of the clique currently being distributed.
     clique: Vec<u32>,
+    /// The cost tables and candidate buffers of the distribution search.
+    search: SearchScratch,
+    /// The search's slot pick per clique member.
+    assignment: Vec<usize>,
     /// Reusable buffers for the per-batch clique extraction (adjacency,
     /// candidate, and weight rows survive across batches).
     clique_ws: CliqueWorkspace,
@@ -172,16 +224,25 @@ impl ApSelector for S3Selector {
             s3_obs::global().counter(&DEGRADED_SELECTIONS).inc();
             return self.fallback.select(ctx);
         }
+        let start = Instant::now();
         self.prepare_slots(ctx.candidates);
-        let arrival = [self.compiled.dense_or_unknown(ctx.arrival.user)];
-        let picks = assign_clique_compiled(
-            &self.compiled,
-            &arrival,
-            &self.scratch.members,
-            &self.scratch.states,
-            &self.config,
-        );
-        picks[0]
+        let prepared = Instant::now();
+        let scratch = &mut self.scratch;
+        scratch.clique.clear();
+        scratch
+            .clique
+            .push(self.compiled.dense_or_unknown(ctx.arrival.user));
+        scratch
+            .search
+            .fill_compiled(&self.compiled, &scratch.clique, &scratch.members);
+        let costed = Instant::now();
+        scratch
+            .search
+            .search(&scratch.states, &self.config, &mut scratch.assignment);
+        observe_micros(&PREPARE_MICROS, prepared - start);
+        observe_micros(&COST_MICROS, costed - prepared);
+        observe_micros(&SEARCH_MICROS, costed.elapsed());
+        scratch.assignment[0]
     }
 
     fn last_batch_meta(&self) -> Option<&[DecisionMeta]> {
@@ -205,6 +266,7 @@ impl ApSelector for S3Selector {
             );
             return self.fallback.select_batch(users, candidates);
         }
+        let start = Instant::now();
         self.prepare_slots(candidates);
         self.last_meta.clear();
         self.last_meta.resize(users.len(), DecisionMeta::default());
@@ -219,27 +281,38 @@ impl ApSelector for S3Selector {
             // cost tables and the projected-load updates below.
             scratch.demands.push(compiled.demand_dense(dense));
         }
+        let prepared = Instant::now();
         let graph =
             build_social_graph_compiled(compiled, &scratch.arrivals, self.config.edge_threshold);
+        let graphed = Instant::now();
         // Cliques come out largest/heaviest first; isolated users trail as
         // singletons — the paper's processing order. The workspace keeps the
         // kernel's adjacency/candidate/weight buffers warm across batches.
         let cliques = clique_partition_in(&graph, CliqueBudget::default(), &mut scratch.clique_ws);
+        let partitioned = Instant::now();
 
+        // Two clock reads per clique: the cost span also carries the
+        // clique's slot bookkeeping, which is a few array writes.
+        let (mut cost_time, mut search_time) = (Duration::ZERO, Duration::ZERO);
+        let mut mark = partitioned;
         let mut picks = vec![usize::MAX; users.len()];
         for (clique_idx, clique) in cliques.iter().enumerate() {
             scratch.clique.clear();
             for &vertex in &clique.vertices {
                 scratch.clique.push(scratch.arrivals[vertex]);
             }
-            let assignment = assign_clique_compiled(
-                compiled,
-                &scratch.clique,
-                &scratch.members,
-                &scratch.states,
-                &self.config,
-            );
-            for (&vertex, &slot) in clique.vertices.iter().zip(&assignment) {
+            scratch
+                .search
+                .fill_compiled(compiled, &scratch.clique, &scratch.members);
+            let costed = Instant::now();
+            scratch
+                .search
+                .search(&scratch.states, &self.config, &mut scratch.assignment);
+            let searched = Instant::now();
+            cost_time += costed - mark;
+            search_time += searched - costed;
+            mark = searched;
+            for (&vertex, &slot) in clique.vertices.iter().zip(&scratch.assignment) {
                 picks[vertex] = slot;
                 self.last_meta[vertex] = DecisionMeta {
                     clique: Some(clique_idx as u32),
@@ -250,6 +323,11 @@ impl ApSelector for S3Selector {
                 scratch.members[slot].push(scratch.arrivals[vertex]);
             }
         }
+        observe_micros(&PREPARE_MICROS, prepared - start);
+        observe_micros(&GRAPH_MICROS, graphed - prepared);
+        observe_micros(&CLIQUE_MICROS, partitioned - graphed);
+        observe_micros(&COST_MICROS, cost_time);
+        observe_micros(&SEARCH_MICROS, search_time);
         debug_assert!(picks.iter().all(|&p| p != usize::MAX));
         picks
     }

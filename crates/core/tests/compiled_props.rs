@@ -10,6 +10,7 @@
 
 use proptest::prelude::*;
 
+use s3_core::compiled::NO_USER;
 use s3_core::{CompiledModel, IncrementalLearner, S3Config, S3Selector, SocialModel};
 use s3_trace::{SessionRecord, TraceStore};
 use s3_types::{ApId, Bytes, ControllerId, Timestamp, UserId};
@@ -125,6 +126,61 @@ proptest! {
     }
 
     #[test]
+    fn scattered_cost_tables_bit_equal_per_cell_queries(
+        records in records_strategy(),
+        cliques in prop::collection::vec(prop::collection::vec(0u32..32, 1..6), 1..4),
+        rows in prop::collection::vec(prop::collection::vec(0u32..32, 0..8), 1..5),
+        seed in 0u64..4,
+    ) {
+        let model = SocialModel::learn(&TraceStore::new(records.clone()), &config(), seed);
+        let compiled = CompiledModel::compile(&model);
+        let ids = query_ids(&records);
+        // Indices past the query list fold onto NO_USER, so sentinel
+        // arrivals and residents appear in cliques and rows alike.
+        let dense = |x: u32| {
+            ids.get(x as usize).map_or(NO_USER, |&u| compiled.dense_or_unknown(u))
+        };
+        let members: Vec<Vec<u32>> = rows
+            .iter()
+            .map(|row| row.iter().map(|&x| dense(x)).collect())
+            .collect();
+        // One scatter row across several cliques: it must come back zeroed.
+        let mut row = Vec::new();
+        let (mut slot_entry, mut pair) = (Vec::new(), Vec::new());
+        for clique in &cliques {
+            let clique: Vec<u32> = clique.iter().map(|&x| dense(x)).collect();
+            compiled.fill_cost_tables(&clique, &members, &mut row, &mut slot_entry, &mut pair);
+            let (c, m) = (clique.len(), members.len());
+            prop_assert_eq!(slot_entry.len(), c * m);
+            prop_assert_eq!(pair.len(), c * c);
+            for (i, &u) in clique.iter().enumerate() {
+                for (s, slot) in members.iter().enumerate() {
+                    prop_assert_eq!(
+                        slot_entry[i * m + s].to_bits(),
+                        compiled.slot_cost(u, slot).to_bits(),
+                        "slot cost of member {} on slot {}", i, s
+                    );
+                }
+                for (j, &v) in clique.iter().enumerate() {
+                    prop_assert_eq!(
+                        pair[i * c + j].to_bits(),
+                        compiled.delta_dense(u, v).to_bits(),
+                        "pair ({}, {})", i, j
+                    );
+                }
+            }
+            prop_assert!(row.iter().all(|&x| x.to_bits() == 0), "scatter row not cleared");
+        }
+    }
+
+    #[test]
+    fn dense_id_agrees_with_binary_search(records in records_strategy(), seed in 0u64..4) {
+        let model = SocialModel::learn(&TraceStore::new(records.clone()), &config(), seed);
+        let compiled = CompiledModel::compile(&model);
+        check_dense_ids(&compiled, &query_ids(&records));
+    }
+
+    #[test]
     fn compiled_size_metrics_match_model(records in records_strategy(), seed in 0u64..4) {
         let model = SocialModel::learn(&TraceStore::new(records), &config(), seed);
         let compiled = CompiledModel::compile(&model);
@@ -187,4 +243,68 @@ fn stale_model_survives_compilation_and_keeps_llf_fallback() {
     assert!(!compiled.is_trivial());
     let selector = S3Selector::new(model, config);
     assert!(selector.is_degraded(), "stale model must fall back to LLF");
+}
+
+/// `dense_id` must return exactly what a binary search over the sorted
+/// intern table returns, for interned, gap, beyond-range and top-of-range
+/// ids alike.
+fn check_dense_ids(compiled: &CompiledModel, extra: &[UserId]) {
+    let interned = compiled.interned_ids();
+    let mut probes: Vec<u32> = (0..64).collect();
+    probes.extend((0..8).map(|d| u32::MAX - d));
+    probes.extend(interned.iter().flat_map(|&raw| [raw, raw.wrapping_add(1)]));
+    probes.extend(extra.iter().map(|u| u.raw()));
+    for raw in probes {
+        let expected = interned.binary_search(&raw).ok().map(|i| i as u32);
+        assert_eq!(
+            compiled.dense_id(UserId::new(raw)),
+            expected,
+            "dense id of {raw} (direct index: {})",
+            compiled.has_direct_index()
+        );
+    }
+}
+
+fn model_over(users: &[u32]) -> CompiledModel {
+    let records: Vec<SessionRecord> = users
+        .iter()
+        .enumerate()
+        .map(|(i, &user)| {
+            let connect = 30_000 + i as u64 * 60;
+            let mut volume_by_app = [Bytes::ZERO; 6];
+            volume_by_app[i % 6] = Bytes::megabytes(5);
+            SessionRecord {
+                user: UserId::new(user),
+                ap: ApId::new(0),
+                controller: ControllerId::new(0),
+                connect: Timestamp::from_secs(connect),
+                disconnect: Timestamp::from_secs(connect + 3_600),
+                volume_by_app,
+            }
+        })
+        .collect();
+    let model = SocialModel::learn(&TraceStore::new(records), &config(), 1);
+    CompiledModel::compile(&model)
+}
+
+/// Both lookup modes, chosen by the id layout: dense raw ids get the raw →
+/// dense table, sparse ones (a gap, or ids near `u32::MAX`) keep the
+/// binary search, and the two answer identically.
+#[test]
+fn dense_id_table_and_search_modes_agree() {
+    let dense: Vec<u32> = (0..40).collect();
+    let holes: Vec<u32> = (0..40).filter(|x| x % 3 != 1).collect();
+    let sparse = [0u32, 7, 1_000_000];
+    let top = [1u32, 2, u32::MAX - 2, u32::MAX - 1];
+    for (users, direct) in [
+        (&dense[..], true),
+        (&holes[..], true),
+        (&sparse[..], false),
+        (&top[..], false),
+    ] {
+        let compiled = model_over(users);
+        assert_eq!(compiled.user_count(), users.len(), "users {users:?}");
+        assert_eq!(compiled.has_direct_index(), direct, "users {users:?}");
+        check_dense_ids(&compiled, &[]);
+    }
 }

@@ -1,8 +1,8 @@
 //! Deterministic parallel execution helpers.
 //!
-//! Every hot path of the S3 pipeline — pairwise event mining, k-means, the
-//! gap statistic's reference fits, Algorithm 1's `mᶜ` distribution search
-//! and the figure sweeps — is embarrassingly parallel, but the repository
+//! The hot paths of the S3 pipeline around replay — pairwise event mining,
+//! k-means, the gap statistic's reference fits and the figure sweeps — are
+//! embarrassingly parallel, but the repository
 //! guarantees **bit-for-bit reproducibility**: for a fixed seed, every
 //! experiment binary must write byte-identical CSVs regardless of thread
 //! count. This crate provides the only two primitives those paths need,
