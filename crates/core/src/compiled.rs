@@ -1,11 +1,12 @@
 //! The compiled social-model data plane.
 //!
-//! [`SocialModel`] is the *learning-side* representation: hash maps keyed
-//! by [`UserId`] and [`UserPair`](s3_trace::events::UserPair), convenient
-//! to build incrementally but
-//! expensive to query — every `δ(u,v)` evaluation pays two-to-three
-//! SipHash probes, and the selector evaluates `δ` thousands of times per
-//! arrival batch (`O(batch²)` in the social-graph build plus
+//! [`SocialModel`] is the *learning-side* representation: a sorted
+//! [`PairTable`](s3_trace::events::PairTable) of `P(L|E)` keyed by
+//! [`UserPair`](s3_trace::events::UserPair), and hash maps of types and
+//! demands keyed by [`UserId`]. Convenient to build, but expensive to
+//! query — every `δ(u,v)` evaluation pays a binary search over all known
+//! pairs and two SipHash probes, and the selector evaluates `δ` thousands
+//! of times per arrival batch (`O(batch²)` in the social-graph build plus
 //! `O(clique × AP-members)` in every cost table).
 //!
 //! [`CompiledModel`] freezes a trained model into flat, dense storage:
@@ -17,8 +18,9 @@
 //! * `user_type` becomes a `Vec<u8>` and the per-user demand estimate a
 //!   `Vec<f64>`, both indexed by dense id;
 //! * the type matrix is a flat row-major `k × k` slice;
-//! * the positive `P(L|E)` entries become a **CSR adjacency**: one sorted
-//!   neighbor row per user, so the pair term of `δ` is a binary search
+//! * the `P(L|E)` entries become a **CSR adjacency**, filled by counting
+//!   straight from the sorted pair table: one sorted neighbor row per
+//!   user, so the pair term of `δ` is a binary search
 //!   over a short row instead of a hash probe, and the per-AP social cost
 //!   `Σ_{w∈S(AP)} δ(u,w)` is a scan of the AP's member list against u's
 //!   row with zero hashing and zero allocation ([`CompiledModel::slot_cost`]);
@@ -31,23 +33,23 @@
 //!
 //! # Determinism
 //!
-//! The compiled plane is **bit-identical** to the hashed plane (enforced
+//! The compiled plane is **bit-identical** to the learned model (enforced
 //! by the property suite in `tests/compiled_props.rs`):
 //!
 //! * [`CompiledModel::delta`] evaluates the exact expression of
 //!   [`SocialModel::delta`] (`pair_term + α · type_term`) on the exact
 //!   same `f64` inputs, so every δ is bit-equal;
 //! * [`CompiledModel::slot_cost`] accumulates member contributions **in
-//!   member order**, exactly like the hashed path's
+//!   member order**, exactly like the uncompiled path's
 //!   `members.iter().map(δ).sum()`. A classic two-pointer merge over
 //!   sorted lists was rejected: it would reorder a floating-point sum and
 //!   break the byte-identical-CSV contract (see `docs/PERF.md`);
 //! * unknown users intern to the [`NO_USER`] sentinel and contribute
-//!   exactly the `+0.0` the hash misses contributed.
+//!   exactly the `+0.0` the uncompiled model's misses contribute.
 
 use std::collections::HashMap;
 
-use s3_obs::{Desc, Stability, Unit};
+use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_types::{BitsPerSec, UserId};
 
 use crate::SocialModel;
@@ -69,6 +71,14 @@ static CSR_EDGES: Desc = Desc {
         "Directed CSR adjacency entries across compiled models (twice the undirected known pairs)",
     unit: Unit::Count,
     stability: Stability::Stable,
+};
+
+static COMPILE_MICROS: HistogramDesc = HistogramDesc {
+    name: "core.model.compile_micros",
+    help: "Wall-clock duration of each CompiledModel::compile call",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
 };
 
 /// Dense-id sentinel for a user the model has never seen. Every query
@@ -133,27 +143,52 @@ impl CompiledModel {
     /// Panics if the model has 255 or more user types (the dense type
     /// store is a `Vec<u8>`; the gap statistic chooses single digits).
     pub fn compile(model: &SocialModel) -> CompiledModel {
-        let pairs = model.pair_probabilities();
+        let _span = s3_obs::global().timer(&COMPILE_MICROS);
+        let pairs = model.pair_probabilities().entries();
         let types = model.user_types();
         let demands = model.demands();
 
         // Intern every user the model knows anything about, in sorted-id
-        // order so dense ids are independent of hash iteration order.
-        let mut users: Vec<u32> = Vec::with_capacity(types.len() + demands.len() + pairs.len() * 2);
-        users.extend(types.keys().map(|u| u.raw()));
-        users.extend(demands.keys().map(|u| u.raw()));
-        for pair in pairs.keys() {
-            users.push(pair.0.raw());
-            users.push(pair.1.raw());
-        }
-        users.sort_unstable();
-        users.dedup();
+        // order so dense ids are independent of hash iteration order. When
+        // the largest id is below DIRECT_INDEX_FACTOR times the number of
+        // mentions, a presence table read in id order replaces the sort.
+        let mentions = || {
+            let pair_users = pairs.iter().flat_map(|(pair, _)| [pair.0, pair.1]);
+            types
+                .keys()
+                .chain(demands.keys())
+                .copied()
+                .chain(pair_users)
+                .map(UserId::raw)
+        };
+        let (count, max) = mentions().fold((0, 0), |(count, max), raw| (count + 1, raw.max(max)));
+        let users: Vec<u32> = if (max as usize) < DIRECT_INDEX_FACTOR * count {
+            let mut seen = vec![false; max as usize + 1];
+            for raw in mentions() {
+                seen[raw as usize] = true;
+            }
+            (0..=max).filter(|&raw| seen[raw as usize]).collect()
+        } else {
+            let mut users: Vec<u32> = mentions().collect();
+            users.sort_unstable();
+            users.dedup();
+            users
+        };
         let n = users.len();
         assert!(n < NO_USER as usize, "compiled model: dense id overflow");
-        let dense = |raw: u32| -> usize {
-            users
-                .binary_search(&raw)
-                .expect("every referenced user was collected")
+
+        let mut direct = Vec::new();
+        if let Some(&max) = users.last() {
+            if (max as usize) < DIRECT_INDEX_FACTOR * n {
+                direct = vec![NO_USER; max as usize + 1];
+                for (i, &raw) in users.iter().enumerate() {
+                    direct[raw as usize] = i as u32;
+                }
+            }
+        }
+        let dense = |user: UserId| -> usize {
+            dense_index(&users, &direct, user.raw()).expect("every referenced user was collected")
+                as usize
         };
 
         let k = model.type_count();
@@ -165,7 +200,7 @@ impl CompiledModel {
         let mut user_type = vec![NO_TYPE; n];
         for (&user, &t) in types {
             debug_assert!(t < k, "type index {t} out of range for k = {k}");
-            user_type[dense(user.raw())] = t as u8;
+            user_type[dense(user)] = t as u8;
         }
         let mut type_matrix = vec![0.0; k * k];
         if k > 0 {
@@ -179,40 +214,37 @@ impl CompiledModel {
         let fallback_demand = model.fallback_demand().as_f64();
         let mut demand = vec![fallback_demand; n];
         for (&user, &d) in demands {
-            demand[dense(user.raw())] = d.as_f64();
+            demand[dense(user)] = d.as_f64();
         }
 
-        // CSR over the positive pair probabilities, both directions. The
-        // (row, col) keys are unique, so the unstable sort is fully
-        // deterministic despite the hash-map source order.
-        let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(pairs.len() * 2);
-        for (pair, &p) in pairs {
-            let (a, b) = (dense(pair.0.raw()) as u32, dense(pair.1.raw()) as u32);
-            entries.push((a, b, p));
-            entries.push((b, a, p));
-        }
+        // CSR over the pair probabilities, both directions, by a counting
+        // fill: degrees, prefix sums, then the pairs in table order. The
+        // table runs in (a, b) order with a < b, and dense ids keep raw
+        // order, so row r first receives its smaller neighbours y from the
+        // pairs (y, r), ascending, and then its larger neighbours x from the
+        // pairs (r, x), ascending: every row comes out sorted.
         assert!(
-            entries.len() < u32::MAX as usize,
+            pairs.len() < u32::MAX as usize / 2,
             "compiled model: CSR overflow"
         );
-        entries.sort_unstable_by_key(|x| (x.0, x.1));
         let mut row_start = vec![0u32; n + 1];
-        for &(row, _, _) in &entries {
-            row_start[row as usize + 1] += 1;
+        for (pair, _) in pairs {
+            row_start[dense(pair.0) + 1] += 1;
+            row_start[dense(pair.1) + 1] += 1;
         }
         for i in 0..n {
             row_start[i + 1] += row_start[i];
         }
-        let neighbors: Vec<u32> = entries.iter().map(|e| e.1).collect();
-        let pair_prob: Vec<f64> = entries.iter().map(|e| e.2).collect();
-
-        let mut direct = Vec::new();
-        if let Some(&max) = users.last() {
-            if (max as usize) < DIRECT_INDEX_FACTOR * n {
-                direct = vec![NO_USER; max as usize + 1];
-                for (i, &raw) in users.iter().enumerate() {
-                    direct[raw as usize] = i as u32;
-                }
+        let mut next: Vec<u32> = row_start[..n].to_vec();
+        let mut neighbors = vec![0u32; 2 * pairs.len()];
+        let mut pair_prob = vec![0.0f64; 2 * pairs.len()];
+        for &(pair, p) in pairs {
+            let (a, b) = (dense(pair.0), dense(pair.1));
+            for (row, col) in [(a, b), (b, a)] {
+                let slot = next[row] as usize;
+                neighbors[slot] = col as u32;
+                pair_prob[slot] = p;
+                next[row] += 1;
             }
         }
 
@@ -271,15 +303,7 @@ impl CompiledModel {
     /// → dense table when the ids are dense, a binary search over the
     /// sorted intern table otherwise — no hashing either way.
     pub fn dense_id(&self, user: UserId) -> Option<u32> {
-        let raw = user.raw();
-        if self.direct.is_empty() {
-            self.users.binary_search(&raw).ok().map(|i| i as u32)
-        } else {
-            self.direct
-                .get(raw as usize)
-                .copied()
-                .filter(|&d| d != NO_USER)
-        }
+        dense_index(&self.users, &self.direct, user.raw())
     }
 
     /// The interned raw ids, sorted; the dense id of each is its index.
@@ -516,6 +540,16 @@ impl CompiledModel {
                 row[w as usize] = 0.0;
             }
         }
+    }
+}
+
+/// The dense id of raw id `raw`: a read of `direct` when it is built, a
+/// binary search over the sorted `users` otherwise.
+fn dense_index(users: &[u32], direct: &[u32], raw: u32) -> Option<u32> {
+    if direct.is_empty() {
+        users.binary_search(&raw).ok().map(|i| i as u32)
+    } else {
+        direct.get(raw as usize).copied().filter(|&d| d != NO_USER)
     }
 }
 

@@ -17,7 +17,7 @@ use s3_obs::{Desc, HistogramDesc, Stability, Unit};
 use s3_stats::gap::{gap_statistic, GapConfig};
 use s3_stats::kmeans::{self, KMeansConfig};
 use s3_trace::events::{
-    coleave_given_encounter, extract_coleavings_par, extract_encounters_par, UserPair,
+    coleave_given_encounter, extract_coleavings_par, extract_encounters_par, PairTable, UserPair,
 };
 use s3_trace::TraceStore;
 use s3_types::{AppMix, BitsPerSec, UserId};
@@ -53,6 +53,30 @@ static LEARN_MICROS: HistogramDesc = HistogramDesc {
     unit: Unit::Micros,
     stability: Stability::Volatile,
     bounds: &[1_000, 10_000, 100_000, 1_000_000, 10_000_000, 60_000_000],
+};
+
+// Per-stage spans of one learn: pair mining with P(L|E), profiles with
+// clustering, and the type matrix.
+static PAIRS_MICROS: HistogramDesc = HistogramDesc {
+    name: "core.learn.pairs_micros",
+    help: "Per SocialModel::learn call: mining encounters and co-leavings into the P(L|E) table",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
+};
+static CLUSTER_MICROS: HistogramDesc = HistogramDesc {
+    name: "core.learn.cluster_micros",
+    help: "Per SocialModel::learn call: window profiles, gap statistic and k-means",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
+};
+static TYPE_MATRIX_MICROS: HistogramDesc = HistogramDesc {
+    name: "core.learn.type_matrix_micros",
+    help: "Per SocialModel::learn call: estimating the type matrix from the P(L|E) table",
+    unit: Unit::Micros,
+    stability: Stability::Volatile,
+    bounds: &[100, 1_000, 10_000, 100_000, 1_000_000, 10_000_000],
 };
 
 /// The empirical co-leave probability matrix between user types — the
@@ -122,8 +146,9 @@ impl TypeMatrix {
 /// Everything S³ learned from history. Query with [`SocialModel::delta`].
 #[derive(Debug, Clone)]
 pub struct SocialModel {
-    /// `P(L|E)` per pair (pairs that encountered at least once).
-    pair_probability: HashMap<UserPair, f64>,
+    /// `P(L|E)` per pair (pairs that encountered at least once), sorted
+    /// by pair.
+    pair_probability: PairTable<f64>,
     /// Cluster assignment per user.
     user_type: HashMap<UserId, usize>,
     /// The type matrix.
@@ -149,7 +174,7 @@ impl SocialModel {
     /// look-back window.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn from_parts(
-        pair_probability: HashMap<UserPair, f64>,
+        pair_probability: PairTable<f64>,
         user_type: HashMap<UserId, usize>,
         type_matrix: TypeMatrix,
         centroids: Vec<AppMix>,
@@ -175,7 +200,7 @@ impl SocialModel {
     pub(crate) fn type_matrix_from(
         k: usize,
         user_type: &HashMap<UserId, usize>,
-        pair_probability: &HashMap<UserPair, f64>,
+        pair_probability: &PairTable<f64>,
     ) -> TypeMatrix {
         Self::estimate_type_matrix(k, user_type, pair_probability)
     }
@@ -190,16 +215,24 @@ impl SocialModel {
         let registry = s3_obs::global();
         let _span = registry.timer(&LEARN_MICROS);
         let threads = config.effective_threads();
-        let encounters = extract_encounters_par(store, config.encounter_min_overlap, threads);
-        let coleavings = extract_coleavings_par(store, config.coleave_window, threads);
-        let pair_probability = coleave_given_encounter(&encounters, &coleavings);
+        let pair_probability = {
+            let _span = registry.timer(&PAIRS_MICROS);
+            let encounters = extract_encounters_par(store, config.encounter_min_overlap, threads);
+            let coleavings = extract_coleavings_par(store, config.coleave_window, threads);
+            coleave_given_encounter(&encounters, &coleavings)
+        };
 
         let last_day = store.day_range().map(|(_, last)| last).unwrap_or(0);
-        let profiles = all_window_profiles(store, last_day, config.lookback_days);
-
-        let (user_type, centroids) = Self::cluster_users(store, &profiles, last_day, config, seed);
+        let (user_type, centroids) = {
+            let _span = registry.timer(&CLUSTER_MICROS);
+            let profiles = all_window_profiles(store, last_day, config.lookback_days);
+            Self::cluster_users(store, &profiles, last_day, config, seed)
+        };
         let k = centroids.len();
-        let type_matrix = Self::estimate_type_matrix(k, &user_type, &pair_probability);
+        let type_matrix = {
+            let _span = registry.timer(&TYPE_MATRIX_MICROS);
+            Self::estimate_type_matrix(k, &user_type, &pair_probability)
+        };
 
         let demand = demand_estimates(store, config.demand_ewma);
         let fallback_demand = median_demand(&demand);
@@ -304,7 +337,7 @@ impl SocialModel {
     fn estimate_type_matrix(
         k: usize,
         user_type: &HashMap<UserId, usize>,
-        pair_probability: &HashMap<UserPair, f64>,
+        pair_probability: &PairTable<f64>,
     ) -> TypeMatrix {
         let mut matrix = TypeMatrix::zeros(k);
         if k == 0 {
@@ -312,13 +345,12 @@ impl SocialModel {
         }
         // The cell sums are exact: each probability (in [0, 1]) becomes a
         // 2⁶⁴-scaled integer, truncated, and integer addition does not
-        // depend on order. A HashMap's iteration order changes from process
-        // to process, so plain f64 sums would not repeat bit for bit. The
-        // truncation loses less than 2⁻⁶⁴ per pair.
+        // depend on order, so no source order of the pairs can change a
+        // bit. The truncation loses less than 2⁻⁶⁴ per pair.
         const ONE: f64 = 18_446_744_073_709_551_616.0; // 2⁶⁴
         let mut sums = vec![0u128; k * k];
         let mut counts = vec![0u32; k * k];
-        for (pair, &p) in pair_probability {
+        for &(pair, p) in pair_probability.iter() {
             let (Some(&ti), Some(&tj)) = (user_type.get(&pair.0), user_type.get(&pair.1)) else {
                 continue;
             };
@@ -341,19 +373,20 @@ impl SocialModel {
         matrix
     }
 
-    /// The full learned pair-probability table — the input the compiled
-    /// data plane freezes into CSR form ([`crate::CompiledModel`]).
-    pub(crate) fn pair_probabilities(&self) -> &HashMap<UserPair, f64> {
+    /// The full learned pair-probability table, sorted by pair — the input
+    /// the compiled data plane freezes into CSR form
+    /// ([`crate::CompiledModel`]).
+    pub fn pair_probabilities(&self) -> &PairTable<f64> {
         &self.pair_probability
     }
 
     /// The full user → type assignment map.
-    pub(crate) fn user_types(&self) -> &HashMap<UserId, usize> {
+    pub fn user_types(&self) -> &HashMap<UserId, usize> {
         &self.user_type
     }
 
     /// The full user → demand-estimate map.
-    pub(crate) fn demands(&self) -> &HashMap<UserId, BitsPerSec> {
+    pub fn demands(&self) -> &HashMap<UserId, BitsPerSec> {
         &self.demand
     }
 
@@ -371,7 +404,7 @@ impl SocialModel {
         let Some(pair) = UserPair::new(u, v) else {
             return 0.0;
         };
-        let pair_term = self.pair_probability.get(&pair).copied().unwrap_or(0.0);
+        let pair_term = self.pair_probability.get(&pair).unwrap_or(0.0);
         let type_term = match (self.user_type.get(&u), self.user_type.get(&v)) {
             (Some(&ti), Some(&tj)) => self.type_matrix.get(ti, tj),
             _ => 0.0,
@@ -644,7 +677,8 @@ mod tests {
     #[test]
     fn type_matrix_is_independent_of_map_order() {
         // Many pairs per type cell with values of mixed magnitude, so a
-        // different summation order shows in the last bits.
+        // different summation order would show in the last bits; tables
+        // collected in opposite orders must give the same matrix.
         let pairs: Vec<(UserPair, f64)> = (0..40u32)
             .flat_map(|a| ((a + 1)..40).map(move |b| (a, b)))
             .map(|(a, b)| {
@@ -656,9 +690,8 @@ mod tests {
         let user_type: HashMap<UserId, usize> = (0..40u32)
             .map(|u| (UserId::new(u), (u % 3) as usize))
             .collect();
-        let forward: HashMap<UserPair, f64> = pairs.iter().copied().collect();
-        let mut backward: HashMap<UserPair, f64> = HashMap::with_capacity(4 * pairs.len());
-        backward.extend(pairs.iter().rev().copied());
+        let forward: PairTable<f64> = pairs.iter().copied().collect();
+        let backward: PairTable<f64> = pairs.iter().rev().copied().collect();
         let a = SocialModel::type_matrix_from(3, &user_type, &forward);
         let b = SocialModel::type_matrix_from(3, &user_type, &backward);
         let bits = |m: &TypeMatrix| m.values.iter().map(|v| v.to_bits()).collect::<Vec<_>>();

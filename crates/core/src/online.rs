@@ -18,7 +18,9 @@
 use std::collections::{HashMap, VecDeque};
 
 use s3_stats::kmeans::{self, KMeansConfig};
-use s3_trace::events::{extract_coleavings, extract_encounters, UserPair};
+use s3_trace::events::{
+    coleave_given_encounter, extract_coleavings, extract_encounters, PairCounts,
+};
 use s3_trace::TraceStore;
 use s3_types::{AppMix, BitsPerSec, UserId, APP_CATEGORY_COUNT};
 
@@ -58,8 +60,8 @@ impl ProfileWindow {
 pub struct IncrementalLearner {
     config: S3Config,
     seed: u64,
-    encounters: HashMap<UserPair, u32>,
-    coleavings: HashMap<UserPair, u32>,
+    encounters: PairCounts,
+    coleavings: PairCounts,
     profiles: HashMap<UserId, ProfileWindow>,
     demand: HashMap<UserId, f64>,
     days_ingested: u64,
@@ -76,8 +78,8 @@ impl IncrementalLearner {
         IncrementalLearner {
             config,
             seed,
-            encounters: HashMap::new(),
-            coleavings: HashMap::new(),
+            encounters: PairCounts::default(),
+            coleavings: PairCounts::default(),
             profiles: HashMap::new(),
             demand: HashMap::new(),
             days_ingested: 0,
@@ -100,14 +102,10 @@ impl IncrementalLearner {
     pub fn ingest_day(&mut self, store: &TraceStore, day: u64) {
         // Pairwise events within the day's records. Saturating adds: a
         // lifetime of ingests must clamp rather than wrap the counters.
-        for (pair, count) in extract_encounters(store, self.config.encounter_min_overlap) {
-            let slot = self.encounters.entry(pair).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
-        for (pair, count) in extract_coleavings(store, self.config.coleave_window) {
-            let slot = self.coleavings.entry(pair).or_insert(0);
-            *slot = slot.saturating_add(count);
-        }
+        let encounters = extract_encounters(store, self.config.encounter_min_overlap);
+        self.encounters = self.encounters.merge_saturating(&encounters);
+        let coleavings = extract_coleavings(store, self.config.coleave_window);
+        self.coleavings = self.coleavings.merge_saturating(&coleavings);
         // Profiles and demand.
         for user in store.users() {
             let volumes = store.user_day_volumes(user, day);
@@ -151,15 +149,7 @@ impl IncrementalLearner {
     /// re-run the gap statistic) and builds the type matrix. The model is
     /// marked stale while the learner [`is_warming_up`](Self::is_warming_up).
     pub fn build_model(&self) -> SocialModel {
-        // P(L|E) with the same clamping as the batch path.
-        let mut pair_probability = HashMap::with_capacity(self.encounters.len());
-        for (&pair, &enc) in &self.encounters {
-            if enc == 0 {
-                continue;
-            }
-            let co = self.coleavings.get(&pair).copied().unwrap_or(0);
-            pair_probability.insert(pair, (co as f64 / enc as f64).min(1.0));
-        }
+        let pair_probability = coleave_given_encounter(&self.encounters, &self.coleavings);
 
         // Cluster the current window profiles.
         let mut users: Vec<UserId> = self

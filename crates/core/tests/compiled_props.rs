@@ -12,8 +12,8 @@ use proptest::prelude::*;
 
 use s3_core::compiled::NO_USER;
 use s3_core::{CompiledModel, IncrementalLearner, S3Config, S3Selector, SocialModel};
-use s3_trace::{SessionRecord, TraceStore};
-use s3_types::{ApId, Bytes, ControllerId, Timestamp, UserId};
+use s3_trace::{concentrated_volumes, SessionRecord, TraceStore};
+use s3_types::{ApId, AppCategory, Bytes, ControllerId, Timestamp, UserId};
 
 /// Raw user-id pool: a dense block plus ids at the top of the `u32` range,
 /// so interning and CSR construction see overflow-adjacent ids.
@@ -306,5 +306,169 @@ fn dense_id_table_and_search_modes_agree() {
         assert_eq!(compiled.user_count(), users.len(), "users {users:?}");
         assert_eq!(compiled.has_direct_index(), direct, "users {users:?}");
         check_dense_ids(&compiled, &[]);
+    }
+}
+
+// ------------------------------------------------------------- CSR parity
+
+/// The CSR of a compiled model, as plain vectors with `P(L|E)` as bits.
+#[derive(Debug, PartialEq)]
+struct Csr {
+    users: Vec<u32>,
+    row_start: Vec<u32>,
+    neighbors: Vec<u32>,
+    pair_prob: Vec<u64>,
+}
+
+/// The sort-based CSR construction `CompiledModel::compile` used before
+/// the counting fill, kept as the oracle: intern every user the model
+/// knows in sorted order, emit both directions of every pair, sort the
+/// entries by `(row, col)` and cut rows at the prefix sums.
+fn oracle_csr(model: &SocialModel) -> Csr {
+    let pairs = model.pair_probabilities();
+    let mut users: Vec<u32> = Vec::new();
+    users.extend(model.user_types().keys().map(|u| u.raw()));
+    users.extend(model.demands().keys().map(|u| u.raw()));
+    for &(pair, _) in pairs.iter() {
+        users.push(pair.0.raw());
+        users.push(pair.1.raw());
+    }
+    users.sort_unstable();
+    users.dedup();
+    let n = users.len();
+    let dense = |raw: u32| -> u32 { users.binary_search(&raw).expect("collected") as u32 };
+    let mut entries: Vec<(u32, u32, f64)> = Vec::with_capacity(pairs.len() * 2);
+    for &(pair, p) in pairs.iter() {
+        let (a, b) = (dense(pair.0.raw()), dense(pair.1.raw()));
+        entries.push((a, b, p));
+        entries.push((b, a, p));
+    }
+    entries.sort_unstable_by_key(|x| (x.0, x.1));
+    let mut row_start = vec![0u32; n + 1];
+    for &(row, _, _) in &entries {
+        row_start[row as usize + 1] += 1;
+    }
+    for i in 0..n {
+        row_start[i + 1] += row_start[i];
+    }
+    Csr {
+        users,
+        row_start,
+        neighbors: entries.iter().map(|e| e.1).collect(),
+        pair_prob: entries.iter().map(|e| e.2.to_bits()).collect(),
+    }
+}
+
+fn compiled_csr(compiled: &CompiledModel) -> Csr {
+    let mut csr = Csr {
+        users: compiled.interned_ids().to_vec(),
+        row_start: vec![0],
+        neighbors: Vec::new(),
+        pair_prob: Vec::new(),
+    };
+    for i in 0..compiled.user_count() as u32 {
+        for (j, p) in compiled.neighbors_of(i) {
+            csr.neighbors.push(j);
+            csr.pair_prob.push(p.to_bits());
+        }
+        csr.row_start.push(csr.neighbors.len() as u32);
+    }
+    csr
+}
+
+fn assert_csr_parity(model: &SocialModel) -> CompiledModel {
+    let compiled = CompiledModel::compile(model);
+    assert_eq!(compiled_csr(&compiled), oracle_csr(model));
+    compiled
+}
+
+/// Raw ids in three layouts: dense (the raw → dense table), spread out by
+/// a factor of 1,000 (binary search), and the default pool with ids near
+/// `u32::MAX`.
+fn laid_out(records: Vec<SessionRecord>, layout: u32) -> Vec<SessionRecord> {
+    records
+        .into_iter()
+        .map(|mut r| {
+            let raw = r.user.raw();
+            r.user = UserId::new(match layout {
+                0 => raw % 24,
+                1 => (raw % 24) * 1_000 + 17,
+                _ => raw,
+            });
+            r
+        })
+        .collect()
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn counting_fill_matches_the_sorted_csr(
+        records in records_strategy(),
+        layout in 0u32..3,
+        seed in 0u64..4,
+    ) {
+        let records = laid_out(records, layout);
+        let model = SocialModel::learn(&TraceStore::new(records.clone()), &config(), seed);
+        let compiled = assert_csr_parity(&model);
+        check_dense_ids(&compiled, &query_ids(&records));
+
+        // The same through the incremental learner, one ingest per day.
+        let mut learner = IncrementalLearner::new(config(), seed);
+        for day in 0..4u64 {
+            let today: Vec<SessionRecord> =
+                records.iter().filter(|r| r.connect.day() == day).cloned().collect();
+            learner.ingest_day(&TraceStore::new(today), day);
+        }
+        assert_csr_parity(&learner.build_model());
+    }
+}
+
+/// Pinned shapes: empty and one-pair models, typed users without any
+/// pair, and each id layout with its lookup mode.
+#[test]
+fn counting_fill_matches_the_sorted_csr_on_pinned_models() {
+    let empty = SocialModel::learn(&TraceStore::new(vec![]), &config(), 0);
+    assert_eq!(assert_csr_parity(&empty).user_count(), 0);
+
+    let session = |user: u32, ap: u32, connect: u64| SessionRecord {
+        user: UserId::new(user),
+        ap: ApId::new(ap),
+        controller: ControllerId::new(0),
+        connect: Timestamp::from_secs(connect),
+        disconnect: Timestamp::from_secs(connect + 3_600),
+        volume_by_app: concentrated_volumes(AppCategory::Im, Bytes::megabytes(5)),
+    };
+    // One pair among typed loners on their own APs.
+    let records = vec![
+        session(3, 0, 30_000),
+        session(9, 0, 30_060),
+        session(1, 1, 30_000),
+        session(5, 2, 30_000),
+        session(7, 3, 30_000),
+    ];
+    let model = SocialModel::learn(&TraceStore::new(records), &config(), 1);
+    assert_eq!(model.known_pairs(), 1);
+    assert!(model.user_type(UserId::new(5)).is_some());
+    let compiled = assert_csr_parity(&model);
+    let loner = compiled.dense_id(UserId::new(5)).unwrap();
+    assert_eq!(compiled.neighbors_of(loner).count(), 0);
+
+    let dense: Vec<u32> = (0..30).collect();
+    let sparse: Vec<u32> = (0..30).map(|x| x * 100_000).collect();
+    let top: Vec<u32> = (0..30).map(|x| u32::MAX - x * 3).collect();
+    for (users, direct) in [(&dense, true), (&sparse, false), (&top, false)] {
+        // Everyone on one AP with staggered arrivals: many pairs, and every
+        // row mixes smaller and larger neighbours.
+        let records: Vec<SessionRecord> = users
+            .iter()
+            .enumerate()
+            .map(|(i, &u)| session(u, 0, 30_000 + i as u64 * 97))
+            .collect();
+        let model = SocialModel::learn(&TraceStore::new(records), &config(), 2);
+        assert!(model.known_pairs() > 100);
+        let compiled = assert_csr_parity(&model);
+        assert_eq!(compiled.has_direct_index(), direct);
     }
 }

@@ -426,7 +426,7 @@ mod tests {
         let (config, base) = tiny_demands(11);
         let mut a = base.clone();
         let mut b = base.clone();
-        let mut c = base.clone();
+        let mut c = base;
         let log_a = apply_scenario(&mut a, &config, &spec, 5);
         let log_b = apply_scenario(&mut b, &config, &spec, 5);
         let _ = apply_scenario(&mut c, &config, &spec, 6);

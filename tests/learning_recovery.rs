@@ -143,7 +143,7 @@ fn delta_prediction_forecasts_future_coleavings() {
     let mut high_delta_total = 0u32;
     let mut low_delta_hits = 0u32;
     let mut low_delta_total = 0u32;
-    for (&pair, _) in s3_wlan_lb::trace::events::extract_encounters(&train, window).iter() {
+    for &(pair, _) in s3_wlan_lb::trace::events::extract_encounters(&train, window).iter() {
         let d = model.delta(pair.0, pair.1);
         let co_leaves_later = future.contains_key(&pair);
         if d > 0.5 {
